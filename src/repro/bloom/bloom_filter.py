@@ -14,6 +14,11 @@ Transfer.  This module provides the same structure in NumPy:
 Because every block is a single machine word, a probe touches exactly one
 cache line, which is what makes Bloom probes several times cheaper than hash
 table probes (reproduced in the Figure 16 microbenchmark).
+
+The hashing pass is the per-key cost of every transfer step, so it is kept
+to a handful of full-array passes: splitmix64 runs in place on one scratch
+buffer, and the block bit-pattern is three gathers from small lookup tables
+(:func:`key_patterns`) instead of a per-bit shift/xor/or loop.
 """
 
 from __future__ import annotations
@@ -33,17 +38,24 @@ DEFAULT_FPR = 0.02
 #: Number of bits set per key inside its block.
 BITS_PER_KEY = 4
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-
 
 def _splitmix64(keys: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer: a cheap, well-mixing 64-bit hash."""
+    """Vectorized splitmix64 finalizer: a cheap, well-mixing 64-bit hash.
+
+    Works in place on one copy of the keys plus one scratch buffer; ``uint64``
+    arithmetic already wraps modulo 2**64, so no masking pass is needed.
+    """
     z = keys.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        z = (z + np.uint64(0x9E3779B97F4A7C15)) & _MASK64
-        z = ((z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _MASK64
-        z = ((z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _MASK64
-        z = z ^ (z >> np.uint64(31))
+    scratch = np.empty_like(z)
+    z += np.uint64(0x9E3779B97F4A7C15)
+    np.right_shift(z, np.uint64(30), out=scratch)
+    z ^= scratch
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(z, np.uint64(27), out=scratch)
+    z ^= scratch
+    z *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
     return z
 
 
@@ -58,20 +70,49 @@ def hash_keys(keys: np.ndarray) -> np.ndarray:
     return _splitmix64(np.asarray(keys, dtype=np.int64).view(np.uint64))
 
 
+def _pattern_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Lookup tables behind :func:`key_patterns`.
+
+    For ``i < 4`` a key with hash ``h`` sets bit
+    ``((h >> 6(i+1)) ^ (h >> (32+3i))) & 63`` of its block.  The first XOR
+    operands are the four 6-bit fields of hash bits 6..29; the second ones
+    all come from hash bits 32..46.  The first table maps those 15 bits to
+    the four second operands packed as 6-bit fields, so one XOR with bits
+    6..29 yields all four bit positions.  The second table maps a 12-bit
+    pair of positions to its two-bit mask.
+    """
+    high = np.arange(1 << 15, dtype=np.uint64)
+    operands = np.zeros(1 << 15, dtype=np.uint64)
+    for i in range(BITS_PER_KEY):
+        operands |= ((high >> np.uint64(3 * i)) & np.uint64(63)) << np.uint64(6 * i)
+    pair = np.arange(1 << 12, dtype=np.uint64)
+    masks = (np.uint64(1) << (pair & np.uint64(63))) | (np.uint64(1) << (pair >> np.uint64(6)))
+    return operands, masks
+
+
+_XOR_OPERANDS, _PAIR_MASKS = _pattern_tables()
+
+
 def key_patterns(hashes: np.ndarray) -> np.ndarray:
     """Per-key 64-bit block bit-patterns derived from splitmix64 hashes.
 
     Like the hashes themselves, the :data:`BITS_PER_KEY` bit positions a key
     sets within its block depend only on the key's hash — not on the filter —
     so they too can be computed once per column and replayed across every
-    insert and probe (this derivation is the bulk of the per-pass hash work).
+    insert and probe.  Three table gathers (see :func:`_pattern_tables`)
+    produce the same patterns as setting the four bits one at a time.
     """
-    pattern = np.zeros(hashes.shape, dtype=np.uint64)
-    rotated = hashes
-    for i in range(BITS_PER_KEY):
-        rotated = rotated >> np.uint64(6)
-        bit_pos = (rotated ^ (hashes >> np.uint64(32 + 3 * i))) & np.uint64(63)
-        pattern |= np.uint64(1) << bit_pos
+    hashes = np.asarray(hashes, dtype=np.uint64)
+    index = hashes >> np.uint64(32)
+    index &= np.uint64(0x7FFF)
+    positions = _XOR_OPERANDS.take(index.view(np.int64))
+    np.right_shift(hashes, np.uint64(6), out=index)
+    index &= np.uint64(0xFFFFFF)
+    positions ^= index
+    np.bitwise_and(positions, np.uint64(0xFFF), out=index)
+    pattern = _PAIR_MASKS.take(index.view(np.int64))
+    positions >>= np.uint64(12)
+    pattern |= _PAIR_MASKS.take(positions.view(np.int64))
     return pattern
 
 

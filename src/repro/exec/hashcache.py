@@ -3,9 +3,10 @@
 The predicate-transfer pipeline makes many Bloom build/probe passes over the
 *same* key columns: a relation inserts its join keys into a forward-pass
 filter, probes backward-pass filters over the same keys, and the join phase
-may hash them yet again.  Each pass historically paid a fresh splitmix64
-hash (plus the block bit-pattern derivation, the bulk of the per-key work)
-over a freshly gathered key array.
+may hash them yet again.  Without a cache each pass pays a fresh splitmix64
+hash plus the block bit-pattern derivation over a freshly gathered key
+array, which per key is more work than the filter insert or probe that
+consumes them.
 
 :class:`HashCache` eliminates the redundancy with two granularities of
 memoized pass, both pure functions of the key values (so replaying them is

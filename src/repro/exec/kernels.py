@@ -5,10 +5,16 @@ responsible for translating logical columns (including dictionary-encoded
 strings and composite keys) into these arrays.
 
 The central kernel is :func:`match_keys`, the equi-join matcher used by the
-hash-join operator.  It uses a sort + binary-search strategy, which is the
-NumPy-friendly equivalent of building and probing a hash table: ``O(n log n)``
-to "build" (sort) and ``O(log n)`` per probe, with every step fully
-vectorized.
+hash-join operator, the NumPy-friendly equivalent of building and probing a
+hash table with every step fully vectorized.  The build side is stably
+sorted; each probe then needs the run of equal build keys in sorted order.
+Over a *dense* integer key domain (range within a small multiple of the
+rows, the common case for surrogate ids) a counting pass tabulates every
+value's run start and length, so a probe costs two O(1) gathers.  Other
+domains binary-search the sorted keys (``O(log n)`` per probe).  Both give
+identical matches.  Composite keys are densified the same way
+(:func:`dense_codes`): a dense domain is ranked by a prefix sum over a
+presence table, anything else by ``np.unique``.
 
 For build sides that outgrow the caches, :func:`radix_partition` and
 :class:`PartitionedHashIndex` provide the radix-partitioned variant: both
@@ -45,10 +51,70 @@ class JoinMatches:
         return int(self.probe_indices.shape[0])
 
 
+#: A key domain is *dense* when its value range is at most this multiple of
+#: the rows that index it.  Dense domains are ranked and matched through
+#: direct-address tables (O(range + rows)) instead of sorting.
+DENSE_RANGE_FACTOR = 2
+
+_INT64_MIN = int(np.iinfo(np.int64).min)
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def dense_codes(columns: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], int]:
+    """Dictionary codes of the values of ``columns`` under one shared dictionary.
+
+    Returns one ``int64`` code array per column plus the dictionary size:
+    the codes are the ranks of the values among all distinct values of all
+    columns, exactly ``np.unique(np.concatenate(columns), return_inverse=True)``
+    split back per column.  A dense integer domain is ranked without sorting
+    (mark present values, prefix-sum the marks); anything else falls back to
+    ``np.unique``.
+    """
+    columns = [np.asarray(c) for c in columns]
+    total = sum(int(c.shape[0]) for c in columns)
+    if total == 0:
+        return [np.zeros(0, dtype=np.int64) for _ in columns], 1
+    if np.issubdtype(np.result_type(*columns), np.integer):
+        present_columns = [c for c in columns if c.shape[0]]
+        lo = min(int(c.min()) for c in present_columns)
+        hi = max(int(c.max()) for c in present_columns)
+        span = hi - lo + 1
+        if span <= DENSE_RANGE_FACTOR * total and _INT64_MIN <= lo and hi <= _INT64_MAX:
+            # The bounds fit int64 and the span is small, so the offsets
+            # below can neither wrap nor lose precision.
+            offsets = [c.astype(np.int64, copy=False) - np.int64(lo) for c in columns]
+            present = np.zeros(span, dtype=bool)
+            for offset in offsets:
+                present[offset] = True
+            rank = np.cumsum(present, dtype=np.int64)
+            rank -= 1
+            return [rank[offset] for offset in offsets], int(rank[-1]) + 1
+    sizes = np.cumsum([c.shape[0] for c in columns])[:-1]
+    _, codes = np.unique(np.concatenate(columns), return_inverse=True)
+    codes = codes.astype(np.int64, copy=False)
+    return np.split(codes, sizes), int(codes.max()) + 1
+
+
+def _combine_sides(sides: Sequence[Sequence[np.ndarray]]) -> List[np.ndarray]:
+    """Mixed-radix combination of each side's key columns.
+
+    Column ``j`` of every side is densified under one dictionary shared by
+    all sides (:func:`dense_codes`), so equal composite keys map to equal
+    combined keys on every side and unequal ones stay distinct.
+    """
+    if len(sides[0]) == 1:
+        return [side[0].astype(np.int64, copy=False) for side in sides]
+    combined = [np.zeros(side[0].shape[0], dtype=np.int64) for side in sides]
+    for columns in zip(*sides):
+        codes, radix = dense_codes(columns)
+        combined = [prefix * np.int64(radix) + code for prefix, code in zip(combined, codes)]
+    return combined
+
+
 def combine_key_columns(columns: Sequence[np.ndarray]) -> np.ndarray:
     """Combine several integer key columns into one collision-free ``int64`` key.
 
-    The columns are densified with :func:`numpy.unique` and combined with a
+    The columns are densified (:func:`dense_codes`) and combined with a
     mixed-radix encoding, so equal composite keys map to equal combined keys
     and unequal ones stay distinct (no hashing, no collisions).  All columns
     must have identical length.
@@ -60,14 +126,7 @@ def combine_key_columns(columns: Sequence[np.ndarray]) -> np.ndarray:
     for column in columns:
         if column.shape[0] != length:
             raise ExecutionError("key columns must all have the same length")
-    if len(columns) == 1:
-        return columns[0].astype(np.int64, copy=False)
-    combined = np.zeros(length, dtype=np.int64)
-    for column in columns:
-        _, codes = np.unique(column, return_inverse=True)
-        radix = int(codes.max()) + 1 if length else 1
-        combined = combined * np.int64(radix) + codes.astype(np.int64)
-    return combined
+    return _combine_sides([columns])[0]
 
 
 def combine_key_columns_pair(
@@ -84,22 +143,8 @@ def combine_key_columns_pair(
     right_columns = [np.asarray(c) for c in right_columns]
     if len(left_columns) != len(right_columns):
         raise ExecutionError("both sides of a join must have the same number of key columns")
-    if len(left_columns) == 1:
-        return (
-            left_columns[0].astype(np.int64, copy=False),
-            right_columns[0].astype(np.int64, copy=False),
-        )
-    n_left = left_columns[0].shape[0]
-    n_right = right_columns[0].shape[0]
-    left_combined = np.zeros(n_left, dtype=np.int64)
-    right_combined = np.zeros(n_right, dtype=np.int64)
-    for left_col, right_col in zip(left_columns, right_columns):
-        both = np.concatenate([left_col, right_col])
-        _, codes = np.unique(both, return_inverse=True)
-        radix = int(codes.max()) + 1 if both.size else 1
-        left_combined = left_combined * np.int64(radix) + codes[:n_left].astype(np.int64)
-        right_combined = right_combined * np.int64(radix) + codes[n_left:].astype(np.int64)
-    return left_combined, right_combined
+    left, right = _combine_sides([left_columns, right_columns])
+    return left, right
 
 
 class HashIndex:
@@ -113,7 +158,10 @@ class HashIndex:
     phase and again by the join phase — wrapping it in a ``HashIndex``
     builds once and amortizes the cost across every probe.
 
-    Both structures are built lazily: :meth:`match` needs the sort,
+    Every structure is built lazily.  :meth:`match` needs the stable sort
+    permutation; over a dense integer key domain it locates each probe's
+    run of equal keys with two table lookups (a CSR start/count table built
+    by counting), otherwise by binary search over the sorted keys.
     :meth:`contains` prefers an O(1)-per-probe bitmap when the integer key
     domain is bounded (ids, dictionary codes) and otherwise falls back to
     ``np.isin`` / binary search, whichever is cheaper given what is already
@@ -131,10 +179,17 @@ class HashIndex:
         "_probe_rows_seen",
         "_key_bounds",
         "_frozen",
+        "_csr_lo",
+        "_csr_starts",
+        "_csr_counts",
+        "_match_frozen",
     )
 
     #: Hard cap on the bitmap fast-path size (entries; 1 byte each).
     TABLE_MAX_ENTRIES = 1 << 26
+
+    #: Hard cap on the dense match table (entries; two ``int32`` each).
+    CSR_MAX_ENTRIES = 1 << 24
 
     def __init__(self, keys: np.ndarray, order: Optional[np.ndarray] = None) -> None:
         """Index ``keys``; ``order`` is an optional precomputed stable
@@ -150,6 +205,10 @@ class HashIndex:
         self._probe_rows_seen = 0
         self._key_bounds: "tuple[int, int] | None" = None
         self._frozen = False
+        self._csr_lo = 0
+        self._csr_starts: "np.ndarray | None" = None
+        self._csr_counts: "np.ndarray | None" = None
+        self._match_frozen = False
 
     @property
     def num_keys(self) -> int:
@@ -238,10 +297,51 @@ class HashIndex:
                 _ = self.sorted_keys  # force the sort so probes never mutate
         self._frozen = True
 
-    def prepare_match(self) -> None:
-        """Freeze the index for concurrent read-only :meth:`match` probes."""
-        _ = self.sorted_keys
+    def _ensure_csr(self, probe_rows: int) -> bool:
+        """Build (or reuse) the dense-domain match table when it pays off.
+
+        Over integer keys whose range is at most :data:`DENSE_RANGE_FACTOR`
+        times the build keys plus ``probe_rows``, a counting pass gives, for
+        every domain value, how many keys equal it and where their run starts
+        in sorted order — exactly what the two binary searches of
+        :meth:`match` compute per probe, at one gather each.  Both tables
+        carry a zero-count slot at either end, which is where clipped
+        out-of-domain probes land.  Never built once :meth:`prepare_match`
+        froze the index without it.
+        """
+        if self._csr_starts is not None:
+            return True
+        if (
+            self._match_frozen
+            or self.num_keys == 0
+            or self.num_keys > np.iinfo(np.int32).max
+            or self.keys.dtype.kind != "i"
+        ):
+            return False
+        lo, hi = self.key_bounds()
+        span = hi - lo + 1
+        if span > min(DENSE_RANGE_FACTOR * (self.num_keys + probe_rows), self.CSR_MAX_ENTRIES):
+            return False
+        counts = np.zeros(span + 2, dtype=np.int32)
+        counts[1:-1] = np.bincount(self.keys.astype(np.int64, copy=False) - lo, minlength=span)
+        starts = np.zeros(span + 2, dtype=np.int32)
+        np.cumsum(counts[:-1], dtype=np.int32, out=starts[1:])
+        self._csr_lo = lo
+        self._csr_counts = counts
+        self._csr_starts = starts
+        return True
+
+    def prepare_match(self, expected_probe_rows: int = 0) -> None:
+        """Freeze the index for concurrent read-only :meth:`match` probes.
+
+        ``expected_probe_rows`` is the total probe volume about to be
+        matched; it decides between the dense match table and the sorted
+        keys exactly as a single whole-column :meth:`match` would.
+        """
+        if not self._ensure_csr(int(expected_probe_rows)):
+            _ = self.sorted_keys
         _ = self.order
+        self._match_frozen = True
 
     @property
     def has_bitmap(self) -> bool:
@@ -269,7 +369,7 @@ class HashIndex:
         against its byte budget.
         """
         total = int(self.keys.nbytes)
-        for attr in (self._order, self._sorted_keys, self._table):
+        for attr in (self._order, self._sorted_keys, self._table, self._csr_starts, self._csr_counts):
             if attr is not None:
                 total += int(attr.nbytes)
         return total
@@ -317,9 +417,18 @@ class HashIndex:
             empty = np.zeros(0, dtype=np.int64)
             return JoinMatches(probe_indices=empty, build_indices=empty)
 
-        lo = np.searchsorted(self.sorted_keys, probe_keys, side="left")
-        hi = np.searchsorted(self.sorted_keys, probe_keys, side="right")
-        counts = hi - lo
+        if probe_keys.dtype.kind == "i" and self._ensure_csr(int(probe_keys.shape[0])):
+            # Slot = offset + 1.  An int64 offset can wrap for extreme probe
+            # values, but a wrapped slot still lies outside [1, span], so
+            # clipping sends every out-of-domain probe to a zero-count slot.
+            slots = probe_keys.astype(np.int64, copy=False) - np.int64(self._csr_lo)
+            slots += 1
+            lo = self._csr_starts.take(slots, mode="clip")
+            counts = self._csr_counts.take(slots, mode="clip")
+        else:
+            lo = np.searchsorted(self.sorted_keys, probe_keys, side="left")
+            hi = np.searchsorted(self.sorted_keys, probe_keys, side="right")
+            counts = hi - lo
 
         matched = counts > 0
         if not matched.any():
@@ -510,6 +619,10 @@ class PartitionedHashIndex:
         index = self._indexes[partition]
         if index is None:
             index = HashIndex(self.partitions.segment_keys(partition))
+            # Frozen before any probe is seen: a partition's keys spread over
+            # the whole key domain, so it stays on the sorted path unless its
+            # own keys are dense (a dense table per partition would cost up to
+            # the whole domain once per partition).
             index.prepare_match()
             self._indexes[partition] = index
         return index

@@ -421,7 +421,7 @@ class ParallelBackend(ExecutionBackend):
         if probe_keys.shape[0] <= self.morsel_size:
             self.tasks_dispatched += 1
             return index.match(probe_keys)
-        index.prepare_match()
+        index.prepare_match(int(probe_keys.shape[0]))
         morsels = self._morsels(int(probe_keys.shape[0]))
         results = self.map_tasks(
             [(lambda lo=lo, hi=hi: index.match(probe_keys[lo:hi])) for lo, hi in morsels]
@@ -1760,7 +1760,7 @@ class PipelineExecutor:
             index = HashIndex(gather_keys())
             if artifact_key is not None:
                 index.prepare(expected_probe_rows or index.num_keys)
-                index.prepare_match()
+                index.prepare_match(expected_probe_rows or index.num_keys)
                 self.artifact_cache.put(artifact_key, index, index.index_bytes())
                 self._charge_artifact(artifact_key, index.index_bytes())
         self._index_cache[cache_key] = (relation.version, index)

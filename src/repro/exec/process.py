@@ -613,7 +613,7 @@ class ProcessBackend(ExecutionBackend):
             self.tasks_dispatched += 1
             self._check_cancel()
             return index.match(probe_keys)
-        index.prepare_match()
+        index.prepare_match(total)
         fanned = self._fan_out(_match_task, index, probe_keys, total)
         if fanned is None:
             self.tasks_dispatched += 1

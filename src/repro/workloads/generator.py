@@ -18,6 +18,7 @@ All generators are deterministic given a seed.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -48,8 +49,15 @@ class WorkloadScale:
         return max(int(round(base * self.scale)), minimum)
 
     def rng(self, salt: str = "") -> np.random.Generator:
-        """A NumPy generator seeded deterministically from the scale seed and a salt."""
-        return np.random.default_rng(abs(hash((self.seed, salt))) % (2**32))
+        """A NumPy generator seeded deterministically from the scale seed and a salt.
+
+        The salt enters through a CRC-32 digest rather than ``hash()``, whose
+        value for strings changes with ``PYTHONHASHSEED``: the same seed must
+        generate the same data in every process.
+        """
+        return np.random.default_rng(
+            np.random.SeedSequence([self.seed, zlib.crc32(salt.encode())])
+        )
 
 
 def primary_keys(n: int) -> np.ndarray:

@@ -7,8 +7,99 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bloom import BloomFilter, BloomFilterRegistry, FilterKey, optimal_num_blocks
+from repro.bloom import (
+    BITS_PER_KEY,
+    BloomFilter,
+    BloomFilterRegistry,
+    FilterKey,
+    hash_keys,
+    key_patterns,
+    optimal_num_blocks,
+)
 from repro.errors import ExecutionError
+
+_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+INT64_MIN = int(np.iinfo(np.int64).min)
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _reference_hashes(keys: np.ndarray) -> np.ndarray:
+    """Reference splitmix64: the textbook form, masking after every step."""
+    z = np.asarray(keys, dtype=np.int64).view(np.uint64).astype(np.uint64, copy=True)
+    with np.errstate(over="ignore"):
+        z = (z + np.uint64(0x9E3779B97F4A7C15)) & _MASK64
+        z = ((z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _MASK64
+        z = ((z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _MASK64
+        z = z ^ (z >> np.uint64(31))
+    return z
+
+
+def _reference_patterns(hashes: np.ndarray) -> np.ndarray:
+    """Reference bit patterns: set bit ``((h >> 6(i+1)) ^ (h >> (32+3i))) & 63`` one at a time."""
+    pattern = np.zeros(hashes.shape, dtype=np.uint64)
+    rotated = hashes
+    for i in range(BITS_PER_KEY):
+        rotated = rotated >> np.uint64(6)
+        bit_pos = (rotated ^ (hashes >> np.uint64(32 + 3 * i))) & np.uint64(63)
+        pattern |= np.uint64(1) << bit_pos
+    return pattern
+
+
+int64_values = st.one_of(
+    st.integers(min_value=INT64_MIN, max_value=INT64_MAX),
+    st.integers(min_value=-1_000, max_value=1_000),
+    st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX]),
+)
+
+
+class TestHashingPass:
+    """The table-driven hashing pass is bit-identical to the reference loop."""
+
+    @given(st.lists(int64_values, max_size=200))
+    @settings(max_examples=200, deadline=None)
+    def test_hashes_and_patterns_match_reference(self, values):
+        keys = np.asarray(values, dtype=np.int64)
+        hashes = hash_keys(keys)
+        expected = _reference_hashes(keys)
+        assert hashes.dtype == np.uint64
+        np.testing.assert_array_equal(hashes, expected)
+        patterns = key_patterns(hashes)
+        assert patterns.dtype == np.uint64
+        np.testing.assert_array_equal(patterns, _reference_patterns(expected))
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=200))
+    @settings(max_examples=100, deadline=None)
+    def test_patterns_of_arbitrary_hashes(self, values):
+        hashes = np.asarray(values, dtype=np.uint64)
+        np.testing.assert_array_equal(key_patterns(hashes), _reference_patterns(hashes))
+
+    def test_every_table_entry(self):
+        # One hash per value of bits 32..46, with bits 6..29 chosen so the
+        # four XORed bit positions walk every 12-bit pair in both halves.
+        high = np.arange(1 << 15, dtype=np.uint64)
+        operands = np.zeros_like(high)
+        for i in range(BITS_PER_KEY):
+            operands |= ((high >> np.uint64(3 * i)) & np.uint64(63)) << np.uint64(6 * i)
+        pairs = (high & np.uint64(0xFFF)) | (((high * np.uint64(2053)) & np.uint64(0xFFF)) << np.uint64(12))
+        hashes = (high << np.uint64(32)) | ((operands ^ pairs) << np.uint64(6))
+        np.testing.assert_array_equal(key_patterns(hashes), _reference_patterns(hashes))
+
+    @given(st.lists(int64_values, max_size=120), st.lists(int64_values, max_size=120))
+    @settings(max_examples=80, deadline=None)
+    def test_filter_bits_match_reference(self, inserted, probed):
+        keys = np.asarray(inserted, dtype=np.int64)
+        probes = np.asarray(probed, dtype=np.int64)
+        bloom = BloomFilter(expected_keys=max(len(inserted), 1))
+        bloom.insert(keys)
+        blocks = np.zeros(bloom.num_blocks, dtype=np.uint64)
+        mask = np.uint64(bloom.num_blocks - 1)
+        hashes = _reference_hashes(keys)
+        np.bitwise_or.at(blocks, (hashes & mask).astype(np.int64), _reference_patterns(hashes))
+        np.testing.assert_array_equal(bloom._blocks, blocks)
+        probe_hashes = _reference_hashes(probes)
+        probe_patterns = _reference_patterns(probe_hashes)
+        expected = (blocks[(probe_hashes & mask).astype(np.int64)] & probe_patterns) == probe_patterns
+        np.testing.assert_array_equal(bloom.probe(probes), expected)
 
 
 class TestSizing:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import Database, ExecutionMode
@@ -24,6 +29,36 @@ class TestGeneratorUtilities:
         assert (a == b).all()
         c = ws.rng("y").integers(0, 100, 10)
         assert not (a == c).all()
+
+    def test_generated_data_is_independent_of_the_string_hash_seed(self):
+        # Fresh interpreters with different PYTHONHASHSEEDs must generate
+        # identical tables from the same seed.
+        script = (
+            "import hashlib\n"
+            "from repro import Database\n"
+            "from repro.workloads import job, tpch\n"
+            "digest = hashlib.sha256()\n"
+            "for module in (tpch, job):\n"
+            "    db = Database()\n"
+            "    module.load(db, scale=0.02, seed=5)\n"
+            "    for name in sorted(db.catalog.table_names()):\n"
+            "        table = db.table(name)\n"
+            "        for column in table.column_names:\n"
+            "            digest.update(f'{name}.{column}'.encode())\n"
+            "            digest.update(repr(table.column(column).data.tolist()).encode())\n"
+            "print(digest.hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        digests = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+            env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+            )
+            assert done.returncode == 0, done.stderr[-2000:]
+            digests.append(done.stdout.strip())
+        assert digests[0] == digests[1]
 
     def test_foreign_keys_range(self):
         ws = WorkloadScale(seed=1)
