@@ -369,7 +369,10 @@ class HashIndex:
         against its byte budget.
         """
         total = int(self.keys.nbytes)
-        for attr in (self._order, self._sorted_keys, self._table, self._csr_starts, self._csr_counts):
+        structures = (
+            self._order, self._sorted_keys, self._table, self._csr_starts, self._csr_counts
+        )
+        for attr in structures:
             if attr is not None:
                 total += int(attr.nbytes)
         return total
