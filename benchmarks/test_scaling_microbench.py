@@ -1,17 +1,6 @@
-"""Thread-vs-process backend scaling on a 1M-row star-probe query.
+"""Deadline/cancellation check overhead on a 1M-row star-probe query.
 
-The tentpole claim of the process backend: pure-Python probe work is
-GIL-bound, so thread morsels cannot scale, while process morsels over
-shared-memory columns can.  This benchmark runs the same RPT star query
-under the serial, thread-parallel, and process backends across a
-worker-count sweep and records the curves as ``BENCH_scaling.json`` at the
-repo root.
-
-The speedup assertion is gated on the machine: on >=8 cores the process
-backend must beat the thread backend by >=4x at the best worker count, on
-2-7 cores by >=2x, and on a single core the curves are recorded without a
-speedup assertion (there is no parallelism to win; the backends must still
-be bit-identical, which the runner asserts on every run).
+Records the measurement as ``BENCH_scaling.json`` at the repo root.
 """
 
 from __future__ import annotations
@@ -24,76 +13,13 @@ import pytest
 
 from repro.bench import (
     format_deadline_overhead_microbench,
-    format_scaling_microbench,
     print_report,
     run_deadline_overhead_microbench,
-    run_scaling_microbench,
     write_bench_json,
 )
 
 #: Where the perf-trajectory record lands (repo root, next to ROADMAP.md).
 BENCH_JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_scaling.json"
-
-
-def _merge_into_record(target: Path, measurement: dict, cores: int) -> Path:
-    """Write ``measurement`` into the scaling record, keeping other kinds.
-
-    ``BENCH_scaling.json`` holds both the backend-scaling curves and the
-    deadline-overhead measurement (discriminated by the ``"kind"`` key);
-    each test replaces only its own entry so the two can be re-recorded
-    independently.
-    """
-    kind = measurement.get("kind")
-    existing: list = []
-    if target.exists():
-        existing = json.loads(target.read_text()).get("measurements", [])
-    kept = [m for m in existing if m.get("kind") != kind]
-    return write_bench_json(
-        target,
-        name="scaling_microbench",
-        measurements=kept + [measurement],
-        metadata={"cores": cores},
-    )
-
-
-@pytest.mark.benchmark(group="scaling")
-def test_process_backend_scaling_on_star_probe(benchmark, tmp_path):
-    cores = os.cpu_count() or 1
-
-    def run():
-        return run_scaling_microbench(
-            fact_rows=1 << 20,
-            num_dims=2,
-            repeats=2,
-        )
-
-    measurement = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_report(format_scaling_microbench(measurement))
-
-    # Refresh the committed perf-trajectory record only when explicitly
-    # recording (REPRO_BENCH_RECORD=1); a plain test run writes to tmp so
-    # running the suite never dirties the working tree.
-    target = (
-        BENCH_JSON_PATH
-        if os.environ.get("REPRO_BENCH_RECORD")
-        else tmp_path / "BENCH_scaling.json"
-    )
-    written = _merge_into_record(target, measurement.as_dict(), cores)
-    assert written.exists()
-
-    assert measurement.process_seconds, "sweep must measure the process backend"
-    if cores >= 8:
-        assert measurement.process_over_thread_speedup >= 4.0, (
-            f"process backend below 4x over threads on {cores} cores: "
-            f"{measurement.process_over_thread_speedup:.2f}x"
-        )
-    elif cores >= 2:
-        assert measurement.process_over_thread_speedup >= 2.0, (
-            f"process backend below 2x over threads on {cores} cores: "
-            f"{measurement.process_over_thread_speedup:.2f}x"
-        )
-    # Single core: no parallel win is possible; the run still proves
-    # bit-identity (asserted inside the runner) and records the curves.
 
 
 @pytest.mark.benchmark(group="scaling")
@@ -117,12 +43,20 @@ def test_deadline_check_overhead_gate_on_star_probe(benchmark, tmp_path):
     measurement = benchmark.pedantic(run, rounds=1, iterations=1)
     print_report(format_deadline_overhead_microbench(measurement))
 
+    # Refresh the committed perf-trajectory record only when explicitly
+    # recording (REPRO_BENCH_RECORD=1); a plain test run writes to tmp so
+    # running the suite never dirties the working tree.
     target = (
         BENCH_JSON_PATH
         if os.environ.get("REPRO_BENCH_RECORD")
         else tmp_path / "BENCH_scaling.json"
     )
-    written = _merge_into_record(target, measurement.as_dict(), cores)
+    written = write_bench_json(
+        target,
+        name="scaling_microbench",
+        measurements=[measurement.as_dict()],
+        metadata={"cores": cores},
+    )
     recorded = json.loads(written.read_text())["measurements"]
     deadline_entries = [m for m in recorded if m.get("kind") == "deadline_overhead"]
     assert len(deadline_entries) == 1

@@ -17,14 +17,8 @@ A third sweep (:func:`run_partition_microbench`) compares the monolithic
 hash join against the radix-partitioned one
 (:class:`~repro.exec.kernels.PartitionedHashIndex`) as the build side grows,
 with the partition tasks additionally dispatched through the parallel
-(thread) backend's pool and the monolithic probe fanned out through the
-process backend; its results feed the repo's ``BENCH_partition.json``
-perf-trajectory record.
-
-A fourth sweep (:func:`run_scaling_microbench`) runs one RPT star-probe
-query end to end under the serial, thread-parallel, and process-parallel
-backends across a worker-count sweep — the thread-vs-process scaling
-curves recorded as ``BENCH_scaling.json``.
+(thread) backend's pool; its results feed the repo's
+``BENCH_partition.json`` perf-trajectory record.
 
 A second sweep (:func:`run_semijoin_kernel_microbench`) compares the exact
 semi-join membership kernel strategies on large inputs: ``np.isin`` (the
@@ -235,7 +229,6 @@ class PartitionJoinMeasurement:
     partitioned_probe_seconds: float
     parallel_build_seconds: Optional[float] = None
     parallel_probe_seconds: Optional[float] = None
-    process_probe_seconds: Optional[float] = None
 
     @property
     def monolithic_seconds(self) -> float:
@@ -266,7 +259,6 @@ class PartitionJoinMeasurement:
             "partitioned_probe_seconds": self.partitioned_probe_seconds,
             "parallel_build_seconds": self.parallel_build_seconds,
             "parallel_probe_seconds": self.parallel_probe_seconds,
-            "process_probe_seconds": self.process_probe_seconds,
             "speedup": self.speedup,
         }
 
@@ -284,34 +276,26 @@ def run_partition_microbench(
     seed: int = 13,
     repeats: int = 3,
     num_threads: Optional[int] = None,
-    num_workers: Optional[int] = None,
 ) -> List[PartitionJoinMeasurement]:
     """Compare monolithic vs radix-partitioned hash joins across build sizes.
 
-    For each build size four variants run over the same data: the
+    For each build size three variants run over the same data: the
     monolithic :class:`~repro.exec.kernels.HashIndex` (one O(n log n) stable
     sort, probes binary-searching the full build array), the serial
     :class:`~repro.exec.kernels.PartitionedHashIndex` (O(n) radix
     partitioning, per-partition sorts, probes searching one cache-resident
-    partition), the partitioned join with its partition tasks dispatched
-    through a :class:`~repro.exec.pipeline.ParallelBackend` pool, and the
-    monolithic probe fanned out through the
-    :class:`~repro.exec.process.ProcessBackend` (morsels over shared-memory
-    columns; partitioned builds/probes take closures and cannot cross the
-    process boundary, so only the monolithic match has a process variant).
-    ``num_threads`` / ``num_workers`` default to the machine's core count
-    (capped at 4); pass ``0`` to skip the corresponding variant.  Build
+    partition), and the partitioned join with its partition tasks dispatched
+    through a :class:`~repro.exec.pipeline.ParallelBackend` pool.
+    ``num_threads`` defaults to the machine's core count (capped at 4);
+    pass ``0`` to skip the thread variant.  Build
     (index construction) and probe (matching) are timed separately; the huge
     ``key_domain`` keeps the bitmap fast path out of the way so the sweep
     measures the sort/search paths the partitioning targets.
     """
     import os as _os
 
-    default_pool = min(4, _os.cpu_count() or 1)
     if num_threads is None:
-        num_threads = default_pool
-    if num_workers is None:
-        num_workers = default_pool
+        num_threads = min(4, _os.cpu_count() or 1)
     rng = np.random.default_rng(seed)
     probe_keys = rng.integers(0, key_domain, size=probe_rows, dtype=np.int64)
     measurements: List[PartitionJoinMeasurement] = []
@@ -353,16 +337,6 @@ def run_partition_microbench(
             finally:
                 backend.close()
 
-        process_probe_s = None
-        if num_workers:
-            from repro.exec.process import ProcessBackend
-
-            proc_backend = ProcessBackend(num_workers=num_workers)
-            mono_index.prepare_match()  # freeze before shipping so only probes are timed
-            process_probe_s = _best_time(
-                lambda: proc_backend.match(probe_keys, mono_index), repeats
-            )
-
         measurements.append(
             PartitionJoinMeasurement(
                 build_rows=build_rows,
@@ -374,7 +348,6 @@ def run_partition_microbench(
                 partitioned_probe_seconds=part_probe_s,
                 parallel_build_seconds=parallel_build_s,
                 parallel_probe_seconds=parallel_probe_s,
-                process_probe_seconds=process_probe_s,
             )
         )
     return measurements
@@ -386,7 +359,7 @@ def format_partition_microbench(measurements: Sequence[PartitionJoinMeasurement]
         "Radix-partitioned vs monolithic hash join (probe side fixed, build side varies)",
         f"{'build rows':>12} {'bits':>5} {'mono bld (s)':>13} {'mono prb (s)':>13} "
         f"{'part bld (s)':>13} {'part prb (s)':>13} {'par prb (s)':>12} "
-        f"{'proc prb (s)':>13} {'speedup':>9}",
+        f"{'speedup':>9}",
     ]
 
     def _opt(seconds: Optional[float], width: int) -> str:
@@ -397,7 +370,7 @@ def format_partition_microbench(measurements: Sequence[PartitionJoinMeasurement]
             f"{m.build_rows:>12} {m.bits:>5} {m.monolithic_build_seconds:>13.4f} "
             f"{m.monolithic_probe_seconds:>13.4f} {m.partitioned_build_seconds:>13.4f} "
             f"{m.partitioned_probe_seconds:>13.4f} {_opt(m.parallel_probe_seconds, 12)} "
-            f"{_opt(m.process_probe_seconds, 13)} {m.speedup:>8.2f}x"
+            f"{m.speedup:>8.2f}x"
         )
     return "\n".join(lines)
 
@@ -849,179 +822,6 @@ def format_transfer_microbench(
 
 
 @dataclass(frozen=True)
-class ScalingMeasurement:
-    """Thread-vs-process scaling curves of one star-probe query.
-
-    The same RPT star query runs end to end under the serial backend, the
-    thread-parallel backend, and the process backend at each worker count in
-    the sweep; ``thread_seconds`` / ``process_seconds`` are
-    ``(workers, best wall seconds)`` curves over the same data and plan.
-    All runs are asserted bit-identical to the serial baseline.
-    """
-
-    fact_rows: int
-    dim_rows: int
-    num_dims: int
-    serial_seconds: float
-    thread_seconds: Tuple[Tuple[int, float], ...]
-    process_seconds: Tuple[Tuple[int, float], ...]
-    shm_bytes_mapped: int
-
-    @property
-    def best_thread_seconds(self) -> float:
-        """Fastest thread-backend run across the worker sweep."""
-        return min(seconds for _, seconds in self.thread_seconds)
-
-    @property
-    def best_process_seconds(self) -> float:
-        """Fastest process-backend run across the worker sweep."""
-        return min(seconds for _, seconds in self.process_seconds)
-
-    @property
-    def process_over_thread_speedup(self) -> float:
-        """Best process time vs best thread time (the GIL-escape factor)."""
-        if self.best_process_seconds <= 0:
-            return float("inf")
-        return self.best_thread_seconds / self.best_process_seconds
-
-    @property
-    def process_over_serial_speedup(self) -> float:
-        """Best process time vs the serial baseline."""
-        if self.best_process_seconds <= 0:
-            return float("inf")
-        return self.serial_seconds / self.best_process_seconds
-
-    def as_dict(self) -> dict:
-        """JSON-ready representation (the ``BENCH_scaling.json`` record)."""
-        return {
-            "fact_rows": self.fact_rows,
-            "dim_rows": self.dim_rows,
-            "num_dims": self.num_dims,
-            "serial_seconds": self.serial_seconds,
-            "thread_seconds": [list(point) for point in self.thread_seconds],
-            "process_seconds": [list(point) for point in self.process_seconds],
-            "shm_bytes_mapped": self.shm_bytes_mapped,
-            "best_thread_seconds": self.best_thread_seconds,
-            "best_process_seconds": self.best_process_seconds,
-            "process_over_thread_speedup": self.process_over_thread_speedup,
-            "process_over_serial_speedup": self.process_over_serial_speedup,
-        }
-
-
-def _default_worker_counts() -> Tuple[int, ...]:
-    """Powers of two up to the machine's core count (always includes 1)."""
-    import os as _os
-
-    cores = _os.cpu_count() or 1
-    counts = [1]
-    while counts[-1] * 2 <= cores:
-        counts.append(counts[-1] * 2)
-    return tuple(counts)
-
-
-def run_scaling_microbench(
-    fact_rows: int = 1 << 20,
-    dim_rows: Optional[int] = None,
-    num_dims: int = 2,
-    worker_counts: Optional[Sequence[int]] = None,
-    seed: int = 31,
-    repeats: int = 2,
-) -> ScalingMeasurement:
-    """Measure thread-vs-process scaling on a 1M-row star-probe query.
-
-    Reuses the transfer microbenchmark's star generator (half-selective
-    dimension filters, so the probe passes do real pruning work) and runs
-    the same query + plan under ``serial``, ``parallel`` (threads), and
-    ``process`` at each worker count.  The hash cache is pinned off so the
-    process backend's shared-memory gather path carries the probe columns
-    (the regime the backend is built for) and threads/processes hash the
-    same per-pass work.  Reported seconds are the best end-to-end wall time
-    over ``repeats`` runs; aggregates are asserted identical to serial.
-    """
-    from repro.engine.database import ExecutionOptions
-    from repro.engine.modes import ExecutionConfig, ExecutionMode
-    from repro.errors import BenchmarkError
-    from repro.exec.process import shutdown_workers
-
-    counts = tuple(worker_counts) if worker_counts is not None else _default_worker_counts()
-    dims = dim_rows if dim_rows is not None else fact_rows // 2
-    db, query = _transfer_database(fact_rows, dims, num_dims, seed)
-    plan = db.optimizer_plan(query)
-
-    def options(backend: str, workers: int) -> ExecutionOptions:
-        return ExecutionOptions(
-            execution=ExecutionConfig(
-                backend=backend,
-                num_threads=workers,
-                num_workers=workers,
-                hash_cache=False,
-                artifact_cache=False,
-            )
-        )
-
-    def best_run(backend: str, workers: int):
-        best = None
-        seconds = float("inf")
-        for _ in range(max(repeats, 1)):
-            start = time.perf_counter()
-            result = db.execute(query, mode=ExecutionMode.RPT, plan=plan, options=options(backend, workers))
-            elapsed = time.perf_counter() - start
-            if elapsed < seconds:
-                seconds = elapsed
-                best = result
-        return best, seconds
-
-    serial, serial_s = best_run("serial", 1)
-    thread_curve = []
-    process_curve = []
-    shm_bytes = 0
-    try:
-        for workers in counts:
-            thread_result, thread_s = best_run("parallel", workers)
-            process_result, process_s = best_run("process", workers)
-            for result in (thread_result, process_result):
-                if result.aggregates != serial.aggregates:
-                    raise BenchmarkError(
-                        "parallel run diverged from the serial baseline: "
-                        f"{result.aggregates} != {serial.aggregates}"
-                    )
-            thread_curve.append((workers, thread_s))
-            process_curve.append((workers, process_s))
-            shm_bytes = max(shm_bytes, process_result.stats.shm_bytes_mapped)
-    finally:
-        db.close()
-        shutdown_workers()
-
-    return ScalingMeasurement(
-        fact_rows=fact_rows,
-        dim_rows=dims,
-        num_dims=num_dims,
-        serial_seconds=serial_s,
-        thread_seconds=tuple(thread_curve),
-        process_seconds=tuple(process_curve),
-        shm_bytes_mapped=shm_bytes,
-    )
-
-
-def format_scaling_microbench(measurement: ScalingMeasurement) -> str:
-    """Render the thread-vs-process scaling curves as a table."""
-    lines = [
-        "Backend scaling on a star-probe query (serial vs threads vs processes)",
-        f"fact rows {measurement.fact_rows}, dims {measurement.num_dims} x "
-        f"{measurement.dim_rows}, serial {measurement.serial_seconds:.4f}s, "
-        f"shm mapped {measurement.shm_bytes_mapped}B",
-        f"{'workers':>8} {'threads (s)':>12} {'process (s)':>12} {'proc vs thread':>15}",
-    ]
-    process_by_workers = dict(measurement.process_seconds)
-    for workers, thread_s in measurement.thread_seconds:
-        process_s = process_by_workers.get(workers)
-        ratio = f"{thread_s / process_s:>14.2f}x" if process_s else f"{'-':>15}"
-        process_text = f"{process_s:>12.4f}" if process_s is not None else f"{'-':>12}"
-        lines.append(f"{workers:>8} {thread_s:>12.4f} {process_text} {ratio}")
-    return "\n".join(lines)
-
-
-@dataclass(frozen=True)
 class DeadlineOverheadMeasurement:
     """Cost of deadline/cancellation checks on the 1M-row star probe.
 
@@ -1077,11 +877,12 @@ def run_deadline_overhead_microbench(
 ) -> DeadlineOverheadMeasurement:
     """Measure what deadline/cancellation checks cost on the star probe.
 
-    Reuses the scaling microbenchmark's 1M-row star query on the serial
-    backend.  The deadline run sets ``timeout_seconds`` far in the future,
-    so the query never times out but pays the full cancellable-execution
-    machinery: chunked kernels plus a monotonic-clock check per chunk and
-    per morsel barrier.  Both configurations are asserted bit-identical.
+    Reuses the transfer microbenchmark's star generator (1M fact rows by
+    default) on the serial backend.  The deadline run sets
+    ``timeout_seconds`` far in the future, so the query never times out but
+    pays the full cancellable-execution machinery: chunked kernels plus a
+    monotonic-clock check per chunk and per morsel barrier.  Both
+    configurations are asserted bit-identical.
     """
     from repro.engine.database import ExecutionOptions
     from repro.engine.modes import ExecutionConfig, ExecutionMode
@@ -1208,10 +1009,10 @@ def run_observability_microbench(
 ) -> ObservabilityMeasurement:
     """Measure what span tracing costs on the star probe.
 
-    Reuses the scaling microbenchmark's 1M-row star query on the serial
-    backend with caches pinned off, untraced vs traced.  Both
-    configurations are asserted bit-identical, and the traced best run
-    must carry a non-trivial span tree (query -> phase -> op).
+    Reuses the transfer microbenchmark's star generator (1M fact rows by
+    default) on the serial backend with caches pinned off, untraced vs
+    traced.  Both configurations are asserted bit-identical, and the traced
+    best run must carry a non-trivial span tree (query -> phase -> op).
     """
     from repro.engine.database import ExecutionOptions
     from repro.engine.modes import ExecutionConfig, ExecutionMode
@@ -1300,18 +1101,14 @@ def _best_time(fn, repeats: int) -> float:
 
 @dataclass(frozen=True)
 class EncodingMeasurement:
-    """Raw-vs-encoded scan times and shared-memory footprint of one sweep.
+    """Raw-vs-encoded scan times of one sweep.
 
-    The scan half measures the same selective filter twice over identical
-    data: once through ``Expression.evaluate`` (the raw path — ordered
-    string comparisons materialize every string) and once through the
-    code-space kernel with zone-map block skipping
+    Measures the same selective filter twice over identical data: once
+    through ``Expression.evaluate`` (the raw path — ordered string
+    comparisons materialize every string) and once through the code-space
+    kernel with zone-map block skipping
     (:func:`repro.expr.codespace.evaluate`).  Masks are asserted
-    bit-identical before timing.  The shm half runs the scaling
-    benchmark's star-probe query on the process backend with the hash
-    cache pinned off (the shared-memory gather regime) with encodings off
-    and on, and records both mapped footprints; aggregates are asserted
-    identical.
+    bit-identical before timing.
     """
 
     rows: int
@@ -1323,8 +1120,6 @@ class EncodingMeasurement:
     range_blocks_total: int
     filter_raw_bytes: int
     filter_encoded_bytes: int
-    raw_shm_bytes_mapped: int
-    encoded_shm_bytes_mapped: int
 
     @property
     def string_scan_speedup(self) -> float:
@@ -1347,13 +1142,6 @@ class EncodingMeasurement:
             return float("inf")
         return self.filter_raw_bytes / self.filter_encoded_bytes
 
-    @property
-    def shm_reduction(self) -> float:
-        """Fractional drop in mapped shared-memory bytes (0.5 = halved)."""
-        if self.raw_shm_bytes_mapped <= 0:
-            return 0.0
-        return 1.0 - self.encoded_shm_bytes_mapped / self.raw_shm_bytes_mapped
-
     def as_dict(self) -> dict:
         """JSON-ready representation (the ``BENCH_encoding.json`` record)."""
         return {
@@ -1366,12 +1154,9 @@ class EncodingMeasurement:
             "range_blocks_total": self.range_blocks_total,
             "filter_raw_bytes": self.filter_raw_bytes,
             "filter_encoded_bytes": self.filter_encoded_bytes,
-            "raw_shm_bytes_mapped": self.raw_shm_bytes_mapped,
-            "encoded_shm_bytes_mapped": self.encoded_shm_bytes_mapped,
             "string_scan_speedup": self.string_scan_speedup,
             "range_scan_speedup": self.range_scan_speedup,
             "filter_compression_ratio": self.filter_compression_ratio,
-            "shm_reduction": self.shm_reduction,
         }
 
 
@@ -1382,32 +1167,20 @@ _ENCODING_BENCH_NDV = 64
 
 def run_encoding_microbench(
     rows: int = 1 << 20,
-    dim_rows: Optional[int] = None,
-    num_dims: int = 2,
-    num_workers: int = 2,
     seed: int = 37,
     repeats: int = 3,
 ) -> EncodingMeasurement:
-    """Measure block-encoded execution against the raw paths it replaces.
+    """Measure block-encoded scans against the raw paths they replace.
 
-    Scan half: a ``rows``-row table with a low-NDV string column (random,
-    so no block skips — the win is staying in dictionary code space) and a
-    sorted ``int64`` timestamp column (the win is zone maps skipping ~99%
-    of blocks for a 1% range).  Both filters run raw and encoded; masks
-    are asserted bit-identical and the best of ``repeats`` wall times is
-    kept per path.
-
-    Shm half: the transfer star-probe query (1M-row fact side by default)
-    on the process backend with ``hash_cache=False`` — the configuration
-    under which probe columns travel through the shared-memory arena —
-    once with encodings off and once on.  Join-key columns bit-pack to
-    32-bit codes, so the encoded run maps about half the bytes; aggregates
-    are asserted identical to the raw run.
+    A ``rows``-row table with a low-NDV string column (random, so no block
+    skips — the win is staying in dictionary code space) and a sorted
+    ``int64`` timestamp column (the win is zone maps skipping ~99% of
+    blocks for a 1% range).  Both filters run raw and encoded; masks are
+    asserted bit-identical and the best of ``repeats`` wall times is kept
+    per path.
     """
-    from repro.engine.database import Database, ExecutionOptions
-    from repro.engine.modes import ExecutionConfig, ExecutionMode
+    from repro.engine.database import Database
     from repro.errors import BenchmarkError
-    from repro.exec.process import shutdown_workers
     from repro.expr import between, codespace, lt
 
     rng = np.random.default_rng(seed)
@@ -1450,40 +1223,6 @@ def run_encoding_microbench(
     finally:
         db.close()
 
-    dims = dim_rows if dim_rows is not None else rows // 2
-    star_db, star_query = _transfer_database(rows, dims, num_dims, seed)
-    plan = star_db.optimizer_plan(star_query)
-
-    def star_options(encodings: bool) -> ExecutionOptions:
-        # hash_cache off puts the probe passes on the shared-memory gather
-        # path (with it on, hash passes are served from the parent's cache
-        # and no columns are shipped), matching run_scaling_microbench.
-        return ExecutionOptions(
-            execution=ExecutionConfig(
-                backend="process",
-                num_workers=num_workers,
-                hash_cache=False,
-                artifact_cache=False,
-                encodings=encodings,
-            )
-        )
-
-    try:
-        raw_star = star_db.execute(
-            star_query, mode=ExecutionMode.RPT, plan=plan, options=star_options(False)
-        )
-        encoded_star = star_db.execute(
-            star_query, mode=ExecutionMode.RPT, plan=plan, options=star_options(True)
-        )
-        if encoded_star.aggregates != raw_star.aggregates:
-            raise BenchmarkError(
-                "encoded star probe diverged from the raw baseline: "
-                f"{encoded_star.aggregates} != {raw_star.aggregates}"
-            )
-    finally:
-        star_db.close()
-        shutdown_workers()
-
     return EncodingMeasurement(
         rows=rows,
         string_raw_seconds=string_raw_s,
@@ -1494,13 +1233,11 @@ def run_encoding_microbench(
         range_blocks_total=int(range_result.blocks_total),
         filter_raw_bytes=filter_raw_bytes,
         filter_encoded_bytes=filter_encoded_bytes,
-        raw_shm_bytes_mapped=int(raw_star.stats.shm_bytes_mapped),
-        encoded_shm_bytes_mapped=int(encoded_star.stats.shm_bytes_mapped),
     )
 
 
 def format_encoding_microbench(measurement: EncodingMeasurement) -> str:
-    """Render the raw-vs-encoded scan and shm comparison as a table."""
+    """Render the raw-vs-encoded scan comparison as a table."""
     m = measurement
     return "\n".join(
         [
@@ -1513,7 +1250,5 @@ def format_encoding_microbench(measurement: EncodingMeasurement) -> str:
             f"{'range':>8} {m.range_raw_seconds:>10.4f} {m.range_encoded_seconds:>12.4f} "
             f"{m.range_scan_speedup:>7.1f}x "
             f"{f'{m.range_blocks_skipped}/{m.range_blocks_total}':>15}",
-            f"process-backend star probe: shm mapped {m.raw_shm_bytes_mapped}B raw -> "
-            f"{m.encoded_shm_bytes_mapped}B encoded ({m.shm_reduction:.0%} reduction)",
         ]
     )

@@ -88,7 +88,6 @@ DEFAULT_PARTITION_THRESHOLD = 1 << 17
 #: ``REPRO_BACKEND=parallel`` without touching any call site.
 ENV_BACKEND = "REPRO_BACKEND"
 ENV_NUM_THREADS = "REPRO_NUM_THREADS"
-ENV_NUM_WORKERS = "REPRO_NUM_WORKERS"
 ENV_FUSE_FILTERS = "REPRO_FUSE_FILTERS"
 ENV_MEMORY_BUDGET = "REPRO_MEMORY_BUDGET"
 ENV_PARTITION_BITS = "REPRO_PARTITION_BITS"
@@ -102,13 +101,8 @@ ENV_NDV_SIZING = "REPRO_NDV_SIZING"
 ENV_BITMAP_DOWNGRADE = "REPRO_BITMAP_DOWNGRADE"
 ENV_ENCODINGS = "REPRO_ENCODINGS"
 ENV_TIMEOUT_SECONDS = "REPRO_TIMEOUT_SECONDS"
-ENV_MAX_TASK_RETRIES = "REPRO_MAX_TASK_RETRIES"
 ENV_FAULTS = "REPRO_FAULTS"
 ENV_TRACE = "REPRO_TRACE"
-
-#: Pool-respawn attempts per morsel before the process backend falls back to
-#: executing the remaining morsels inline.
-DEFAULT_MAX_TASK_RETRIES = 2
 
 
 def _env_flag(name: str) -> Optional[bool]:
@@ -128,14 +122,10 @@ class ExecutionConfig:
 
     * ``backend`` — ``"serial"`` (whole-column kernels), ``"chunked"``
       (morsel-granular with the Figure 14 simulated-parallelism model),
-      ``"parallel"`` (a real morsel-driven scheduler over a thread pool), or
-      ``"process"`` (a morsel scheduler over worker *processes* reading
-      base columns from ``multiprocessing.shared_memory`` — GIL-free,
+      or ``"parallel"`` (a real morsel-driven scheduler over a thread pool,
       bit-identical to serial).
     * ``num_threads`` — worker threads of the parallel backend (``None``:
       one per CPU, capped at 32 like the paper's testbed).
-    * ``num_workers`` — worker processes of the process backend (``None``:
-      one per CPU, capped at 32).
     * ``chunk_size`` — morsel granularity of the chunked/parallel backends
       (``None``: each backend's own default — 2048-row chunks for the
       chunked simulation, larger morsels for the real parallel scheduler).
@@ -179,17 +169,13 @@ class ExecutionConfig:
     * ``encodings`` — block-encoded columnar execution: columns carry
       dictionary / run-length / bit-packed encodings chosen at registration
       time, base filters consult per-block min/max zone maps to skip whole
-      blocks, string predicates are rewritten into dictionary code space,
-      and the process backend ships the *encoded* buffers through shared
-      memory (default off; bit-identical either way).
+      blocks, and string predicates are rewritten into dictionary code
+      space (default off; bit-identical either way).
     * ``timeout_seconds`` — query deadline: a
       :class:`~repro.exec.faults.CancelToken` is checked at morsel-gather
       barriers and at chunk granularity inside long kernels; expiry raises
       :class:`~repro.errors.QueryTimeout` carrying the partial stats
       (``None``: no deadline).
-    * ``max_task_retries`` — pool-respawn attempts per morsel after a worker
-      crash before the process backend executes the remaining morsels inline
-      (bit-identical either way).
     * ``faults`` — deterministic fault-injection spec
       (``"seed:1234,rate:0.05[,sites:a|b][,latency:s]"``), see
       ``exec/faults.py``; ``None`` leaves the ``REPRO_FAULTS`` environment
@@ -206,7 +192,6 @@ class ExecutionConfig:
 
     backend: Optional[str] = None
     num_threads: Optional[int] = None
-    num_workers: Optional[int] = None
     chunk_size: Optional[int] = None
     memory_budget_bytes: Optional[int] = None
     partition_bits: Optional[int] = None
@@ -222,7 +207,6 @@ class ExecutionConfig:
     fuse_filters: Optional[bool] = None
     encodings: Optional[bool] = None
     timeout_seconds: Optional[float] = None
-    max_task_retries: Optional[int] = None
     faults: Optional[str] = None
     tracing: Optional[bool] = None
 
@@ -232,9 +216,6 @@ class ExecutionConfig:
         num_threads = self.num_threads
         if num_threads is None and os.environ.get(ENV_NUM_THREADS):
             num_threads = int(os.environ[ENV_NUM_THREADS])
-        num_workers = self.num_workers
-        if num_workers is None and os.environ.get(ENV_NUM_WORKERS):
-            num_workers = int(os.environ[ENV_NUM_WORKERS])
         memory_budget = self.memory_budget_bytes
         if memory_budget is None and os.environ.get(ENV_MEMORY_BUDGET):
             memory_budget = int(os.environ[ENV_MEMORY_BUDGET])
@@ -296,11 +277,6 @@ class ExecutionConfig:
         timeout_seconds = self.timeout_seconds
         if timeout_seconds is None and os.environ.get(ENV_TIMEOUT_SECONDS):
             timeout_seconds = float(os.environ[ENV_TIMEOUT_SECONDS])
-        max_task_retries = self.max_task_retries
-        if max_task_retries is None and os.environ.get(ENV_MAX_TASK_RETRIES):
-            max_task_retries = int(os.environ[ENV_MAX_TASK_RETRIES])
-        if max_task_retries is None:
-            max_task_retries = DEFAULT_MAX_TASK_RETRIES
         tracing = self.tracing
         if tracing is None:
             tracing = _env_flag(ENV_TRACE)
@@ -311,7 +287,6 @@ class ExecutionConfig:
         return ExecutionConfig(
             backend=backend,
             num_threads=num_threads,
-            num_workers=num_workers,
             chunk_size=self.chunk_size,
             memory_budget_bytes=memory_budget,
             partition_bits=partition_bits,
@@ -327,7 +302,6 @@ class ExecutionConfig:
             fuse_filters=fuse_filters,
             encodings=encodings,
             timeout_seconds=timeout_seconds,
-            max_task_retries=max_task_retries,
             faults=self.faults,
             tracing=tracing,
         )

@@ -8,8 +8,7 @@ guarantees a bare ``Database`` does not give:
   :class:`~repro.storage.catalog.CatalogSnapshot` of exactly the tables it
   reads; a concurrent ``register_table(replace=True)`` retains the pinned
   versions until the last reader releases them, so a running query never
-  sees a torn catalog and never loses its cached artifacts or
-  shared-memory columns mid-flight.
+  sees a torn catalog and never loses its cached artifacts mid-flight.
 * **Admission control** — at most ``max_concurrent`` queries execute at
   once; up to ``max_queue`` more wait (bounded, FIFO-ish) for at most
   ``admission_timeout_seconds``.  Anything beyond that is *shed* with a
@@ -266,9 +265,6 @@ class Server:
             "repro_artifact_cache_misses_total",
             "Artifact-cache misses across served queries.",
         )
-        self._m_worker_crashes = m.counter(
-            "repro_worker_crashes_total", "Process-pool worker crashes recovered.",
-        )
         self._m_plan_cache_hits = m.gauge(
             "repro_plan_cache_hits", "Plan-cache hits (sampled).",
         )
@@ -287,13 +283,6 @@ class Server:
         )
         self._m_artifact_evictions = m.gauge(
             "repro_artifact_cache_evictions", "Artifact-cache evictions (sampled).",
-        )
-        self._m_shm_segments = m.gauge(
-            "repro_shm_segments", "Shared-memory segments published (sampled).",
-        )
-        self._m_shm_bytes = m.gauge(
-            "repro_shm_bytes",
-            "Bytes in published shared-memory segments (sampled).",
         )
         self._m_fault_injections = m.gauge(
             "repro_fault_injections",
@@ -361,16 +350,12 @@ class Server:
             self._m_plan_cache_misses.set(cache.misses)
             self._m_plan_cache_entries.set(len(cache))
         # Component state lives on the shared database (same package;
-        # sampling must not force either cache into existence).
+        # sampling must not force the cache into existence).
         artifacts = self.database._artifact_cache
         if artifacts is not None:
             self._m_artifact_entries.set(len(artifacts))
             self._m_artifact_bytes.set(artifacts.current_bytes)
             self._m_artifact_evictions.set(artifacts.evictions)
-        arena = self.database._shm_arena
-        if arena is not None:
-            self._m_shm_segments.set(arena.num_segments)
-            self._m_shm_bytes.set(arena.total_bytes)
         for site, count in faults.injection_counts().items():
             self._m_fault_injections.set(count, site=site)
 
@@ -637,8 +622,6 @@ class Server:
                 self._m_artifact_hits.inc(stats.artifact_cache_hits)
             if stats.artifact_cache_misses:
                 self._m_artifact_misses.inc(stats.artifact_cache_misses)
-            if stats.worker_crashes:
-                self._m_worker_crashes.inc(stats.worker_crashes)
 
         if self.query_log is None:
             return

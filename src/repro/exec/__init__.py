@@ -1,7 +1,7 @@
-"""Vectorized execution layer: kernels, chunks, operators, executors, statistics."""
+"""Vectorized execution layer: kernels, executors, backends, statistics."""
 
 from repro.exec.adaptive import DEFAULT_MIN_YIELD, AdaptiveTransferController
-from repro.exec.chunk import DEFAULT_CHUNK_SIZE, DataChunk, iter_chunks, num_chunks
+from repro.exec.chunk import DEFAULT_CHUNK_SIZE, num_chunks
 from repro.exec.hashcache import HashCache
 from repro.exec.join_phase import JoinPhaseExecutor, JoinPhaseOptions
 from repro.exec.kernels import (
@@ -54,7 +54,6 @@ __all__ = [
     "AdaptiveTransferController",
     "BoundRelation",
     "ChunkedBackend",
-    "DataChunk",
     "ExecutionBackend",
     "ExecutionStats",
     "HashCache",
@@ -86,7 +85,6 @@ __all__ = [
     "combine_key_columns_pair",
     "compute_aggregates",
     "hash_probe_cost",
-    "iter_chunks",
     "make_backend",
     "match_keys",
     "merge_reduced_rows",

@@ -1,118 +1,14 @@
-"""Data chunks and selection vectors.
+"""Data-chunk granularity.
 
 DuckDB's push-based engine processes data in fixed-size *data chunks*
-(default 2048 tuples) and marks surviving tuples with a *selection vector*
-rather than compacting eagerly.  The paper's ``ProbeBF`` operator outputs a
-chunk "with an updated selection vector" after a vectorized Bloom probe, and
-implements a fast bit-vector → selection-vector conversion.
-
-This module mirrors those concepts so the chunked execution paths (scans,
-the Figure 16 microbenchmark, the simulated parallel model) process data in
-the same granularity as the original system.
+(default 2048 tuples).  The chunked backend and the simulated parallel
+model cut probe inputs at the same granularity as the original system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
-
-import numpy as np
-
-from repro.errors import ExecutionError
-
 #: Default tuples per chunk, matching DuckDB's vector size.
 DEFAULT_CHUNK_SIZE = 2048
-
-
-@dataclass
-class DataChunk:
-    """A batch of column vectors plus a selection vector of valid rows.
-
-    Attributes
-    ----------
-    columns:
-        Mapping of (qualified) column name to a NumPy array; all arrays have
-        the same *physical* length.
-    selection:
-        Indices of the valid rows within the physical arrays, or ``None``
-        when every row is valid.
-    """
-
-    columns: Dict[str, np.ndarray]
-    selection: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        lengths = {arr.shape[0] for arr in self.columns.values()}
-        if len(lengths) > 1:
-            raise ExecutionError(f"chunk columns have differing lengths: {lengths}")
-
-    @property
-    def physical_size(self) -> int:
-        """Number of physical rows stored in the chunk."""
-        if not self.columns:
-            return 0
-        return int(next(iter(self.columns.values())).shape[0])
-
-    @property
-    def size(self) -> int:
-        """Number of *valid* rows (after applying the selection vector)."""
-        if self.selection is None:
-            return self.physical_size
-        return int(self.selection.shape[0])
-
-    def column(self, name: str) -> np.ndarray:
-        """Return the valid values of a column (selection applied)."""
-        try:
-            values = self.columns[name]
-        except KeyError:
-            raise ExecutionError(f"chunk has no column {name!r}") from None
-        if self.selection is None:
-            return values
-        return values[self.selection]
-
-    def apply_mask(self, mask: np.ndarray) -> "DataChunk":
-        """Refine the selection with a boolean mask over the *valid* rows.
-
-        This is the bit-vector → selection-vector conversion: the Bloom
-        probe produces a boolean hit vector over the currently valid rows and
-        the chunk records which physical rows remain.
-        """
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape[0] != self.size:
-            raise ExecutionError(
-                f"mask length {mask.shape[0]} does not match chunk size {self.size}"
-            )
-        valid_positions = np.nonzero(mask)[0]
-        if self.selection is None:
-            new_selection = valid_positions.astype(np.int64)
-        else:
-            new_selection = self.selection[valid_positions]
-        return DataChunk(columns=self.columns, selection=new_selection)
-
-    def compact(self) -> "DataChunk":
-        """Materialize the selection: physically gather the valid rows."""
-        if self.selection is None:
-            return self
-        gathered = {name: arr[self.selection] for name, arr in self.columns.items()}
-        return DataChunk(columns=gathered, selection=None)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DataChunk(cols={list(self.columns)}, size={self.size})"
-
-
-def iter_chunks(
-    columns: Dict[str, np.ndarray],
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> Iterator[DataChunk]:
-    """Split column arrays into successive :class:`DataChunk` batches."""
-    if chunk_size <= 0:
-        raise ExecutionError("chunk size must be positive")
-    if not columns:
-        return
-    total = next(iter(columns.values())).shape[0]
-    for start in range(0, total, chunk_size):
-        end = min(start + chunk_size, total)
-        yield DataChunk(columns={name: arr[start:end] for name, arr in columns.items()})
 
 
 def num_chunks(total_rows: int, chunk_size: int = DEFAULT_CHUNK_SIZE) -> int:

@@ -24,7 +24,7 @@ trace vocabulary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import List, Optional, Sequence, TypeVar
 
 from repro.exec.chunk import DEFAULT_CHUNK_SIZE, num_chunks
 from repro.exec.faults import CancelToken
@@ -36,18 +36,15 @@ _T = TypeVar("_T")
 def gather_in_order(
     futures: Sequence["object"],
     cancel: Optional[CancelToken] = None,
-    on_drain: Optional[Callable[[], None]] = None,
 ) -> List[_T]:
     """Gather futures in submission order, checking the cancel token between morsels.
 
-    The in-order gather is what makes the thread and process backends
-    bit-identical to serial — morsel results are concatenated in submission
-    order regardless of completion order.  This shared helper adds the
-    cooperative-cancellation barrier: before blocking on each result the
-    token is checked, and on expiry/cancel the remaining futures are
-    cancelled (started ones are drained via ``on_drain``) before the typed
-    error propagates — no worker is left running against segments the owner
-    is about to unlink.
+    The in-order gather is what makes the thread backend bit-identical to
+    serial — morsel results are concatenated in submission order regardless
+    of completion order.  This helper adds the cooperative-cancellation
+    barrier: before blocking on each result the token is checked, and on
+    expiry/cancel the remaining futures are cancelled before the typed
+    error propagates.
     """
     results: List[_T] = []
     try:
@@ -63,8 +60,6 @@ def gather_in_order(
                     cancel_fn()
                 except Exception:  # pragma: no cover - future already done
                     pass
-        if on_drain is not None:
-            on_drain()
         raise
     return results
 

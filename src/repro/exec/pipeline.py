@@ -143,16 +143,6 @@ def _slice_probe_input(keys: ProbeInput, lo: int, hi: int) -> ProbeInput:
     return keys[lo:hi]
 
 
-def _probe_input_rows(keys) -> int:
-    """Row count of a probe input, including the process backend's lazy
-    :class:`~repro.exec.process.ShmGather` (duck-typed via ``rows`` so this
-    module never imports its own subclass's module)."""
-    rows = getattr(keys, "rows", None)
-    if rows is not None:
-        return int(rows)
-    return _probe_rows(_as_probe_input(keys))
-
-
 # ---------------------------------------------------------------------------
 # Backends
 # ---------------------------------------------------------------------------
@@ -438,39 +428,17 @@ class ParallelBackend(ExecutionBackend):
             self._pool = None
 
 
-class _BloomPassProbe:
-    """A picklable probe callable over a precomputed (hashes, patterns) pass.
-
-    Replaces the equivalent lambda so the process backend can ship the
-    probe spec to workers (lambdas do not pickle; the filter itself does).
-    """
-
-    __slots__ = ("bloom",)
-
-    def __init__(self, bloom: BloomFilter) -> None:
-        self.bloom = bloom
-
-    def __call__(self, hp: Tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        return self.bloom.probe(hashes=hp[0], patterns=hp[1])
-
-
 def make_backend(
     name: str,
     chunk_size: Optional[int] = None,
     num_threads: Optional[int] = None,
-    num_workers: Optional[int] = None,
-    max_task_retries: Optional[int] = None,
 ) -> ExecutionBackend:
-    """Instantiate a backend by name (``"serial"``, ``"chunked"``, ``"parallel"``,
-    or ``"process"``).
+    """Instantiate a backend by name (``"serial"``, ``"chunked"``, or ``"parallel"``).
 
     ``chunk_size=None`` takes each backend's own default granularity
     (:data:`~repro.exec.chunk.DEFAULT_CHUNK_SIZE` for the chunked backend,
-    the larger :data:`DEFAULT_MORSEL_SIZE` for the parallel one, the larger
-    still :data:`~repro.exec.process.DEFAULT_PROCESS_MORSEL_SIZE` for the
-    process one).  ``num_threads`` configures the thread backend,
-    ``num_workers`` and ``max_task_retries`` (crash-recovery rounds before
-    the inline fallback) the process backend.
+    the larger :data:`DEFAULT_MORSEL_SIZE` for the parallel one).
+    ``num_threads`` configures the thread backend.
     """
     if name == "serial":
         return SerialBackend()
@@ -483,25 +451,8 @@ def make_backend(
             num_threads=num_threads,
             morsel_size=DEFAULT_MORSEL_SIZE if chunk_size is None else chunk_size,
         )
-    if name == "process":
-        # Imported lazily: repro.exec.process subclasses ExecutionBackend,
-        # so a top-level import here would be circular.
-        from repro.exec.process import (
-            DEFAULT_MAX_TASK_RETRIES,
-            DEFAULT_PROCESS_MORSEL_SIZE,
-            ProcessBackend,
-        )
-
-        return ProcessBackend(
-            num_workers=num_workers,
-            morsel_size=DEFAULT_PROCESS_MORSEL_SIZE if chunk_size is None else chunk_size,
-            max_task_retries=(
-                DEFAULT_MAX_TASK_RETRIES if max_task_retries is None else max_task_retries
-            ),
-        )
     raise ExecutionError(
-        f"unknown pipeline backend {name!r}; "
-        "expected 'serial', 'chunked', 'parallel', or 'process'"
+        f"unknown pipeline backend {name!r}; expected 'serial', 'chunked', or 'parallel'"
     )
 
 
@@ -614,7 +565,6 @@ class PipelineExecutor:
         adaptive_min_yield: float = DEFAULT_MIN_YIELD,
         ndv_sizing: bool = False,
         bitmap_downgrade: bool = False,
-        arena=None,
         encodings: bool = False,
         tracer=None,
     ) -> None:
@@ -646,24 +596,15 @@ class PipelineExecutor:
         #: id(column data) -> KMVSketch, memoized for the executor lifetime
         #: (the cross-query ArtifactCache persists sketches beyond it).
         self._ndv_memo: Dict[int, Tuple[np.ndarray, KMVSketch]] = {}
-        #: Shared-memory column arena (engine-owned); set together with a
-        #: probe-shipping backend so transfer probes can hand workers a
-        #: (column ref, selection vector) pair instead of gathered keys.
-        self.arena = arena
-        #: Block-encoded execution: transfer probes prefer the arena's
-        #: *encoded* column segments, and every cache key (hash cache,
-        #: artifact cache) carries the column's encoding token so encoded
-        #: and raw artifacts never alias at the same catalog version.
+        #: Block-encoded execution: every cache key (hash cache, artifact
+        #: cache) carries the column's encoding token so encoded and raw
+        #: artifacts never alias at the same catalog version.
         self.encodings = encodings
         #: Optional :class:`~repro.obs.trace.Tracer`: when set, the run
         #: loop records one ``op`` span per dispatched op (grouped under
         #: ``phase`` spans) with a ``batch`` child summarizing morsel
         #: fan-out.  Purely observational — results are bit-identical.
         self.tracer = tracer
-        if tracer is not None and hasattr(self.backend, "trace_morsels"):
-            # Process workers time their morsels locally and ship the
-            # seconds back piggybacked on the morsel payload.
-            self.backend.trace_morsels = True
         self._refs = {ref.alias: ref for ref in query.relations}
 
     # ------------------------------------------------------------------
@@ -722,12 +663,6 @@ class PipelineExecutor:
         self._artifact_hits = 0
         self._artifact_misses = 0
         self._selvec_rows = 0
-        # Shared-memory accounting: arena columns charged this run (for the
-        # governor + stats) plus whatever the backend itself placed in
-        # transient segments.
-        self._shm_reserved: List[str] = []
-        self._shm_charged: set[str] = set()
-        self._shm_bytes = 0
         # Adaptive transfer: one controller per run, built over this plan's
         # op list.  Per-op decision fields are reset before each dispatch and
         # folded into the op's stats entry after it.
@@ -748,7 +683,6 @@ class PipelineExecutor:
         self._stats = stats
 
         base_simulated = getattr(self.backend, "simulated_cost", 0.0)
-        base_shm = getattr(self.backend, "shm_bytes_mapped", 0)
         base_hash_hits = self.hash_cache.hits if self.hash_cache is not None else 0
         base_hash_misses = self.hash_cache.misses if self.hash_cache is not None else 0
         governor = self.governor
@@ -780,10 +714,6 @@ class PipelineExecutor:
                 selvec_before = self._selvec_rows
                 artifact_hits_before = self._artifact_hits
                 artifact_misses_before = self._artifact_misses
-                shm_before = self._shm_bytes + getattr(self.backend, "shm_bytes_mapped", 0)
-                crashes_before = getattr(self.backend, "worker_crashes", 0)
-                retries_before = getattr(self.backend, "tasks_retried", 0)
-                inline_before = getattr(self.backend, "inline_morsels", 0)
                 self._op_index = index
                 self._op_adaptive_skip = False
                 self._op_bytes_saved = 0
@@ -800,8 +730,6 @@ class PipelineExecutor:
                         trace_phase_span = tracer.start(phase, "phase")
                         trace_phase_name = phase
                     op_span = tracer.start(op.kind, "op", index=index)
-                    batch_sec_before = getattr(self.backend, "traced_worker_seconds", 0.0)
-                    batches_before = getattr(self.backend, "traced_batches", 0)
                 start = time.perf_counter()
                 rows_in, rows_out, skipped = self._dispatch(op, stats)
                 elapsed = time.perf_counter() - start
@@ -813,13 +741,6 @@ class PipelineExecutor:
                     # grew the cache.  Non-evictable: the cache cannot be
                     # spilled, only released at the end of the run.
                     self._governed_reserve("hash_cache", self.hash_cache.nbytes, evictable=False)
-                op_crashes = getattr(self.backend, "worker_crashes", 0) - crashes_before
-                op_retries = getattr(self.backend, "tasks_retried", 0) - retries_before
-                op_inline = getattr(self.backend, "inline_morsels", 0) - inline_before
-                if op_inline and not self._op_degraded:
-                    self._op_degraded = "process:inline-fallback"
-                if op_inline:
-                    stats.record_degradation("process:inline-fallback")
                 stats.op_stats.append(
                     OpStats(
                         index=index,
@@ -854,15 +775,7 @@ class PipelineExecutor:
                         blocks_skipped=self._op_blocks_skipped,
                         blocks_total=self._op_blocks_total,
                         encoded_bytes=self._op_encoded_bytes,
-                        shm_bytes=(
-                            self._shm_bytes
-                            + getattr(self.backend, "shm_bytes_mapped", 0)
-                            - shm_before
-                        ),
                         degraded=self._op_degraded,
-                        worker_crashes=op_crashes,
-                        tasks_retried=op_retries,
-                        inline_morsels=op_inline,
                     )
                 )
                 if self._op_bytes_saved:
@@ -872,35 +785,16 @@ class PipelineExecutor:
                     stats.zone_blocks_total += self._op_blocks_total
                 if self._op_encoded_bytes:
                     stats.encoded_bytes_touched += self._op_encoded_bytes
-                if op_crashes:
-                    stats.worker_crashes += op_crashes
-                if op_retries:
-                    stats.tasks_retried += op_retries
-                if op_inline:
-                    stats.inline_fallback_morsels += op_inline
                 if tracer is not None:
                     entry = stats.op_stats[-1]
                     if entry.morsels:
-                        # One summary child per fanned-out op: morsel count
-                        # plus (process backend only) the worker-side
-                        # seconds shipped back with the morsel payloads.
-                        batch_seconds = (
-                            getattr(self.backend, "traced_worker_seconds", 0.0)
-                            - batch_sec_before
-                        )
-                        batch_count = (
-                            getattr(self.backend, "traced_batches", 0) - batches_before
-                        )
+                        # One summary child per fanned-out op.
                         batch = Span(
                             name="morsels",
                             kind="batch",
                             start=op_span.start,
-                            end=op_span.start
-                            + (batch_seconds if batch_count else elapsed),
-                            attrs={
-                                "count": entry.morsels,
-                                "worker_batches": batch_count,
-                            },
+                            end=op_span.start + elapsed,
+                            attrs={"count": entry.morsels},
                         )
                         op_span.children.append(batch)
                     if entry.adaptive_skipped:
@@ -909,14 +803,6 @@ class PipelineExecutor:
                         tracer.event("adaptive:exact-bitmap")
                     if entry.spilled_bytes:
                         tracer.event("governor:spill", bytes=entry.spilled_bytes)
-                    if op_crashes:
-                        tracer.event(
-                            "process:crash-recovery",
-                            crashes=op_crashes,
-                            retries=op_retries,
-                        )
-                    if op_inline:
-                        tracer.event("process:inline-fallback", morsels=op_inline)
                     if entry.degraded:
                         tracer.event("degraded", rung=entry.degraded)
                     tracer.finish(
@@ -954,7 +840,6 @@ class PipelineExecutor:
                 )
                 governor.release_all()
             self._artifact_reserved.clear()
-            self._shm_reserved.clear()
             raise
 
         simulated = getattr(self.backend, "simulated_cost", 0.0) - base_simulated
@@ -972,22 +857,15 @@ class PipelineExecutor:
         stats.selection_vector_rows += self._selvec_rows
         stats.artifact_cache_hits += self._artifact_hits
         stats.artifact_cache_misses += self._artifact_misses
-        stats.shm_bytes_mapped += self._shm_bytes + (
-            getattr(self.backend, "shm_bytes_mapped", 0) - base_shm
-        )
         # Artifact residency was charged for this run's accounting only; the
         # artifacts themselves stay alive in the cross-query cache.  The
         # query-lifetime hash cache dies with the executor, so its
-        # reservation is released the same way — and so are arena-column
-        # reservations (the segments stay published by the engine's arena).
+        # reservation is released the same way.
         if governor is not None:
             for reservation in self._artifact_reserved:
                 governor.release(reservation)
-            for reservation in self._shm_reserved:
-                governor.release(reservation)
             governor.release("hash_cache")
         self._artifact_reserved.clear()
-        self._shm_reserved.clear()
 
         return PipelineResult(
             relations=self._relations,
@@ -1291,8 +1169,8 @@ class PipelineExecutor:
             else:
                 if self.selection_vectors:
                     self._selvec_rows += target.num_rows
-                probe_keys = self._transfer_probe_input(target, stage.target_column)
-            probe_rows = _probe_input_rows(probe_keys)
+                probe_keys = target.key_values(stage.target_column)
+            probe_rows = _probe_rows(probe_keys)
             mask = self.backend.probe_mask(
                 probe_keys,
                 index.contains,
@@ -1303,17 +1181,21 @@ class PipelineExecutor:
             mask = self.backend.probe_mask(stage.target_keys, bloom.probe)
             filter_bytes = bloom.size_bytes
         elif stage.target_pass is not None:
-            mask = self.backend.probe_mask(stage.target_pass, _BloomPassProbe(bloom))
+            mask = self.backend.probe_mask(
+                stage.target_pass, lambda hp: bloom.probe(hashes=hp[0], patterns=hp[1])
+            )
             filter_bytes = bloom.size_bytes
         elif self.hash_cache is not None:
             self._selvec_rows += target.num_rows
             probe_pass = self._bloom_pass_for_relation(target, stage.target_column)
-            mask = self.backend.probe_mask(probe_pass, _BloomPassProbe(bloom))
+            mask = self.backend.probe_mask(
+                probe_pass, lambda hp: bloom.probe(hashes=hp[0], patterns=hp[1])
+            )
             filter_bytes = bloom.size_bytes
         else:
             self._selvec_rows += target.num_rows
             mask = self.backend.probe_mask(
-                self._transfer_probe_input(target, stage.target_column), bloom.probe
+                target.key_values(stage.target_column), bloom.probe
             )
             filter_bytes = bloom.size_bytes
         target.keep(mask)
@@ -1347,22 +1229,20 @@ class PipelineExecutor:
             # prior query's frozen artifact) skips the source-side gather
             # and sort entirely.
             attr_class = self.graph.attribute_classes[op.attributes[0]]
-            target_keys = self._transfer_probe_input(
-                target, attr_class.column_of(op.target.alias)
-            )
+            target_keys = target.key_values(attr_class.column_of(op.target.alias))
             source_column = attr_class.column_of(op.source.alias)
             index = self._relation_index(
                 op.source.alias,
                 op.attributes,
                 source,
                 lambda: source.key_values(source_column),
-                expected_probe_rows=_probe_input_rows(target_keys),
+                expected_probe_rows=_probe_rows(target_keys),
             )
         else:
             source_keys, target_keys = self._step_keys(op, source, target)
             index = HashIndex(source_keys)
         rows_before = target.num_rows
-        probe_rows = _probe_input_rows(target_keys)
+        probe_rows = _probe_rows(target_keys)
         mask = self.backend.probe_mask(
             target_keys,
             index.contains,
@@ -1658,50 +1538,6 @@ class PipelineExecutor:
             self._governed_reserve(reservation, size_bytes, evictable=False)
             self._artifact_reserved.append(reservation)
 
-    # -- shared-memory probe inputs -------------------------------------
-    def _transfer_probe_input(self, relation: BoundRelation, column: str):
-        """The probe input for a transfer semi-join over ``relation[column]``.
-
-        Normally the eager gather ``relation.key_values(column)``.  When the
-        backend ships probes to worker processes and the arena can publish
-        the base column, returns a lazy (column ref, selection vector) pair
-        instead — workers gather their own morsel from shared memory, so the
-        parent never materializes the keys.  Either way the resulting mask
-        is bit-identical.
-        """
-        if (
-            self.arena is not None
-            and getattr(self.backend, "ships_probes", False)
-            and relation.num_rows > getattr(self.backend, "morsel_size", 0)
-        ):
-            try:
-                ref = self.arena.column_ref(relation.table, column, encoded=self.encodings)
-            except ExecutionError:
-                # Publishing failed (e.g. an injected shm.share fault): fall
-                # back to the eager gather — same mask, no shared memory.
-                ref = None
-            if ref is not None:
-                self._charge_shm(ref)
-                if hasattr(ref, "codes"):
-                    # An encoded segment pair: record the (smaller) mapped
-                    # footprint in the op trace's ``[enc ..B]`` marker.
-                    self._op_encoded_bytes += int(ref.nbytes)
-                from repro.exec.process import ShmGather
-
-                return ShmGather(ref, relation.row_indices, relation.table.column(column).data)
-        return relation.key_values(column)
-
-    def _charge_shm(self, ref) -> None:
-        """Account a published arena column against the run's governor/stats."""
-        if ref.name in self._shm_charged:
-            return
-        self._shm_charged.add(ref.name)
-        self._shm_bytes += ref.nbytes
-        if self.governor is not None:
-            reservation = f"shm:{ref.name}"
-            self._governed_reserve(reservation, ref.nbytes, evictable=False)
-            self._shm_reserved.append(reservation)
-
     def _indexed_keys(
         self,
         alias: str,
@@ -1829,7 +1665,10 @@ class PipelineExecutor:
             return probe.num_rows, probe.num_rows, True
         rows_before = probe.num_rows
         if stage.probe_pass is not None:
-            hits = self.backend.probe_mask(stage.probe_pass, _BloomPassProbe(stage.bloom))
+            bloom = stage.bloom
+            hits = self.backend.probe_mask(
+                stage.probe_pass, lambda hp: bloom.probe(hashes=hp[0], patterns=hp[1])
+            )
         else:
             hits = self.backend.probe_mask(stage.probe_keys, stage.bloom.probe)
         keep = np.nonzero(hits)[0]

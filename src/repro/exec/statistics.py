@@ -98,9 +98,6 @@ class OpStats:
     #: Rows the fused kernel never evaluated later conjuncts on (the
     #: progressive selection vectors' saving over naive per-node masks).
     fused_rows_short_circuited: int = 0
-    #: Bytes this op placed in (or resolved from) shared-memory segments for
-    #: process-parallel probing.
-    shm_bytes: int = 0
     #: Zone-map block skipping for this op's predicate: blocks proven empty
     #: of matches (skipped wholesale) out of the blocks covering the column.
     blocks_skipped: int = 0
@@ -109,15 +106,8 @@ class OpStats:
     #: bit-packed buffers instead of flat ``int64`` arrays).
     encoded_bytes: int = 0
     #: Non-empty when this op took a degradation rung (e.g.
-    #: ``"governor:spill-retry"`` after a failed reservation, or
-    #: ``"process:inline-fallback"`` after exhausting task retries).
+    #: ``"governor:spill-retry"`` after a failed reservation).
     degraded: str = ""
-    #: Worker-process deaths observed while this op's morsels ran, and the
-    #: pool respawn + retry rounds they triggered.
-    worker_crashes: int = 0
-    tasks_retried: int = 0
-    #: Morsels executed inline in the parent after ``max_task_retries``.
-    inline_morsels: int = 0
 
     @property
     def rows_eliminated(self) -> int:
@@ -203,34 +193,25 @@ class ExecutionStats:
     #: the rows those kernels short-circuited past later conjuncts.
     fused_exprs: int = 0
     fused_rows_short_circuited: int = 0
-    #: Bytes placed in (or resolved from) shared-memory segments by the
-    #: process backend during this execution.
-    shm_bytes_mapped: int = 0
     #: Zone-map blocks skipped / covered across every base filter this
     #: execution evaluated with encodings enabled.
     zone_blocks_skipped: int = 0
     zone_blocks_total: int = 0
     #: Encoded bytes behind the columns execution touched through the
-    #: encoding layer (what the MemoryGovernor and shm arena were charged
-    #: instead of the flat ``int64`` bytes).
+    #: encoding layer (what the MemoryGovernor was charged instead of the
+    #: flat ``int64`` bytes).
     encoded_bytes_touched: int = 0
     #: Degradation-ladder rungs this execution took, in first-occurrence
-    #: order — e.g. ``"backend:process->parallel"`` (pool unavailable),
+    #: order — e.g. ``"backend:parallel->serial"`` (pool unavailable),
     #: ``"column.decode:title.production_year->raw"`` (decode fault),
-    #: ``"governor:spill-retry"`` (reservation retried after spilling),
-    #: ``"process:inline-fallback"`` (morsels finished in the parent).
+    #: ``"governor:spill-retry"`` (reservation retried after spilling).
     #: Each distinct rung appears once; per-op repeats bump
     #: ``degradation_counts`` instead (see :meth:`record_degradation`).
     degradations: List[str] = field(default_factory=list)
     #: Occurrences per degradation rung (a rung that fired on five ops
     #: counts 5 here but appears once in ``degradations``).
     degradation_counts: Dict[str, int] = field(default_factory=dict)
-    #: Fault-recovery counters of the process backend: worker deaths seen,
-    #: morsel retry rounds after a respawn, morsels completed inline, and
-    #: spill writes that failed and left their victim resident.
-    worker_crashes: int = 0
-    tasks_retried: int = 0
-    inline_fallback_morsels: int = 0
+    #: Spill writes that failed and left their victim resident.
     spill_failures: int = 0
 
     # ------------------------------------------------------------------
@@ -308,16 +289,10 @@ class ExecutionStats:
                 marker += f" [saved {op.filter_bytes_saved}B]"
             if op.fused_expr:
                 marker += f" [fused -{op.fused_rows_short_circuited}r]"
-            if op.shm_bytes:
-                marker += f" [shm {op.shm_bytes}B]"
             if op.blocks_total:
                 marker += f" [zm skip {op.blocks_skipped}/{op.blocks_total}]"
             if op.encoded_bytes:
                 marker += f" [enc {op.encoded_bytes}B]"
-            if op.worker_crashes:
-                marker += f" [crashed {op.worker_crashes}w/{op.tasks_retried}r]"
-            if op.inline_morsels:
-                marker += f" [inline {op.inline_morsels}m]"
             if op.degraded:
                 marker += f" [degraded {op.degraded}]"
             lines.append(
@@ -359,10 +334,10 @@ class ExecutionStats:
         return "adaptive: " + ", ".join(parts) if parts else ""
 
     def runtime_summary(self) -> str:
-        """One-line summary of fused-kernel and shared-memory activity.
+        """One-line summary of fused-kernel and encoded-column activity.
 
-        Empty when the execution used neither fused filters nor the process
-        backend, so callers can append it conditionally.
+        Empty when the execution used neither fused filters nor encodings,
+        so callers can append it conditionally.
         """
         parts = []
         if self.fused_exprs:
@@ -370,8 +345,6 @@ class ExecutionStats:
                 f"fused {self.fused_exprs} filter(s) "
                 f"(-{self.fused_rows_short_circuited} rows short-circuited)"
             )
-        if self.shm_bytes_mapped:
-            parts.append(f"shm mapped {self.shm_bytes_mapped}B")
         if self.zone_blocks_total:
             parts.append(
                 f"zone maps skipped {self.zone_blocks_skipped}/{self.zone_blocks_total} blocks"
@@ -383,7 +356,7 @@ class ExecutionStats:
     def record_degradation(self, rung: str) -> None:
         """Record a degradation rung exactly once in the merged list.
 
-        Degradation events fire per op (inline-fallback morsels) or per
+        Degradation events fire per alias (``column.decode``) or per
         reservation (``governor:spill-retry``): naive appending repeated
         the same rung once per event, double-counting it in merged
         summaries.  Every event bumps ``degradation_counts``; the
@@ -407,13 +380,6 @@ class ExecutionStats:
                 count = self.degradation_counts.get(rung, 1)
                 rendered.append(f"{rung} x{count}" if count > 1 else rung)
             parts.append("; ".join(rendered))
-        if self.worker_crashes:
-            parts.append(
-                f"{self.worker_crashes} worker crash(es), "
-                f"{self.tasks_retried} retry round(s)"
-            )
-        if self.inline_fallback_morsels:
-            parts.append(f"{self.inline_fallback_morsels} morsel(s) finished inline")
         if self.spill_failures:
             parts.append(f"{self.spill_failures} failed spill write(s)")
         return "degraded: " + ", ".join(parts) if parts else ""

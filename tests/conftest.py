@@ -17,27 +17,22 @@ from repro.workloads import dsb, job, tpcds, tpch
 
 
 @pytest.fixture(scope="session", autouse=True)
-def shm_leak_guard():
+def reservation_leak_guard():
     """Assert engine-owned resources drain by end of session.
 
     Autouse at session scope, so it is set up before (and torn down after)
-    every other session fixture: databases the fixtures publish arena
-    segments from are closed first, then this guard shuts the process pool
-    down and fails the session if any segment this process created is still
-    live or any memory governor still holds reservations — the no-leak
-    acceptance criterion, covering injected faults, timeouts, and worker
-    crashes too.
+    every other session fixture: the fixtures' databases are closed first,
+    then this guard clears fault injection and fails the session if any
+    memory governor still holds reservations — the no-leak acceptance
+    criterion, covering injected faults and timeouts too.
     """
     import gc
 
     from repro.exec import faults
-    from repro.exec.process import shutdown_workers
-    from repro.storage import buffer, shm
+    from repro.storage import buffer
 
     yield
-    shutdown_workers()
     faults.clear()
-    shm.assert_no_leaks()
     # Collect first: governors whose queries completed are garbage, and only
     # still-referenced ones with live reservations indicate a leak.
     gc.collect()

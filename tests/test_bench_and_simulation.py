@@ -22,6 +22,7 @@ from repro.bench import (
 )
 from repro.core import robustness_factor
 from repro.errors import BenchmarkError
+from repro.exec.chunk import num_chunks
 from repro.exec.parallel import ParallelismModel, simulate_parallel_cost
 from repro.exec.spill import SpillConfig, peak_materialized_bytes, simulate_spill
 from repro.workloads import synthetic, tpch
@@ -150,6 +151,11 @@ class TestMicrobenchmark:
 
 
 class TestParallelSimulation:
+    def test_num_chunks(self):
+        assert num_chunks(10, 4) == 3
+        assert num_chunks(0, 4) == 0
+        assert num_chunks(1) == 1
+
     def test_more_threads_never_slower(self, tpch_small):
         result = tpch_small.execute(tpch.query(10), mode=ExecutionMode.RPT)
         one = simulate_parallel_cost(result.stats, ParallelismModel(num_threads=1))

@@ -1,11 +1,10 @@
 """Encoded execution is bit-identical to raw across modes, backends, workloads.
 
 ``ExecutionConfig.encodings`` swaps the base-filter path to code-space
-kernels with zone-map block skipping, ships bit-packed columns through the
-shared-memory arena, and feeds zone-map row bounds to the optimizer — all
-of which must leave every query result bit-for-bit unchanged.  The matrix
-below runs synthetic (IMDB-shaped), TPC-H and JOB queries under all five
-execution modes and three backends and compares aggregates against the
+kernels with zone-map block skipping and feeds zone-map row bounds to the
+optimizer — both of which must leave every query result bit-for-bit
+unchanged.  The matrix below runs synthetic (IMDB-shaped), TPC-H and JOB
+queries under all five execution modes and two backends and compares aggregates against the
 raw serial baseline.  The satellites are covered alongside: plans are
 unchanged when encodings are off, zone bounds drop impossible predicates
 to a zero estimate (past the 1-row floor), EXPLAIN carries the
@@ -25,13 +24,10 @@ from repro.optimizer.cardinality import CardinalityEstimator
 from repro.query import JoinCondition, QuerySpec, RelationRef
 from repro.workloads import job, tpch
 
-BACKENDS = ("serial", "chunked", "process")
+BACKENDS = ("serial", "chunked")
 
 
 def _options(backend: str, *, encodings: bool, **kwargs) -> ExecutionOptions:
-    if backend == "process":
-        kwargs.setdefault("num_workers", 2)
-        kwargs.setdefault("chunk_size", 512)  # tiny morsel so fan-out happens
     return ExecutionOptions(
         execution=ExecutionConfig(backend=backend, encodings=encodings, **kwargs)
     )

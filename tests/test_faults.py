@@ -1,23 +1,22 @@
-"""Fault injection, deadlines/cancellation, crash recovery, degradation ladder.
+"""Fault injection, deadlines/cancellation, degradation ladder.
 
 Every test here follows the same acceptance contract: under any injected
 fault, a query either completes **bit-identical** to a fault-free serial
 execution or raises a typed :class:`~repro.errors.ReproError` subclass —
-and either way leaves no shared-memory segment and no outstanding memory
-governor reservation behind.
+and either way leaves no outstanding memory governor reservation behind.
 """
 
 from __future__ import annotations
 
 import gc
 
-import numpy as np
 import pytest
 
 from repro import Database, ExecutionMode
 from repro.engine.database import ExecutionOptions
 from repro.engine.modes import ExecutionConfig
 from repro.errors import (
+    ExecutionError,
     FaultInjected,
     MemoryExhausted,
     QueryCancelled,
@@ -26,7 +25,7 @@ from repro.errors import (
 )
 from repro.exec import faults
 from repro.exec.faults import CancelToken, FaultInjector, FaultPlan
-from repro.storage import buffer, shm
+from repro.storage import buffer
 
 
 @pytest.fixture(autouse=True)
@@ -35,9 +34,6 @@ def _clean_faults():
     faults.clear()
     yield
     faults.clear()
-    # Session fixtures legitimately keep arena-published base columns live;
-    # anything else is a leak.
-    shm.assert_no_transient_leaks()
     gc.collect()
     buffer.assert_no_outstanding_reservations()
 
@@ -56,7 +52,7 @@ def _assert_identical(result, baseline):
 # ---------------------------------------------------------------------------
 class TestFaultPlan:
     def test_spec_round_trips(self):
-        plan = FaultPlan(seed=1234, rate=0.05, sites=("process.task", "shm.attach"), latency=0.25)
+        plan = FaultPlan(seed=1234, rate=0.05, sites=("parallel.pool", "spill.write"), latency=0.25)
         assert FaultPlan.parse(plan.spec()) == plan
 
     def test_parse_defaults_and_whitespace(self):
@@ -93,7 +89,7 @@ class TestFaultPlan:
     def test_sites_restrict_firing(self):
         injector = FaultInjector(plan=FaultPlan(seed=1, rate=1.0, sites=("spill.write",)))
         assert injector.should_fire("spill.write")
-        assert not injector.should_fire("shm.attach")
+        assert not injector.should_fire("spill.read")
 
     def test_configure_and_clear(self):
         assert faults.configure("seed:5,rate:1.0,sites:spill.write") is not None
@@ -124,100 +120,10 @@ class TestCancelToken:
 
 
 # ---------------------------------------------------------------------------
-# Worker-crash recovery (the process backend), across all five modes
-# ---------------------------------------------------------------------------
-class TestCrashRecovery:
-    def test_worker_crash_mid_query_all_modes(self, tpch_db, all_modes):
-        """Every worker task dies; the query still completes bit-identically.
-
-        ``rate:1.0`` on ``process.task`` kills each worker at its first
-        morsel, every retry round too — so the bounded-retry ladder runs to
-        its end and the remaining morsels execute inline in the parent.
-        """
-        from repro.workloads import tpch
-
-        query = tpch.query(5)
-        for mode in all_modes:
-            baseline = tpch_db.execute(query, mode=mode, options=_options(backend="serial"))
-            crashed = tpch_db.execute(
-                query,
-                mode=mode,
-                options=_options(
-                    backend="process",
-                    num_workers=2,
-                    chunk_size=512,
-                    max_task_retries=1,
-                    faults="seed:3,rate:1.0,sites:process.task",
-                ),
-            )
-            _assert_identical(crashed, baseline)
-            assert crashed.stats.worker_crashes > 0
-            assert crashed.stats.inline_fallback_morsels > 0
-            assert any(
-                rung.startswith("process:inline-fallback")
-                for rung in crashed.stats.degradations
-            )
-            assert any(op.degraded for op in crashed.stats.op_stats)
-            assert "[degraded" in crashed.stats.op_trace()
-
-    def test_intermittent_crashes_recover_bit_identically(self, tpch_db):
-        """A sub-1.0 crash rate exercises the respawn-and-retry path."""
-        from repro.workloads import tpch
-
-        query = tpch.query(3)
-        baseline = tpch_db.execute(query, options=_options(backend="serial"))
-        crashed = tpch_db.execute(
-            query,
-            options=_options(
-                backend="process",
-                num_workers=2,
-                chunk_size=512,
-                faults="seed:11,rate:0.2,sites:process.task",
-            ),
-        )
-        _assert_identical(crashed, baseline)
-
-    def test_worker_shm_attach_fault_recovers(self, tpch_db):
-        """Worker-side attach failures are transient: retried, then inline."""
-        from repro.workloads import tpch
-
-        query = tpch.query(3)
-        baseline = tpch_db.execute(query, options=_options(backend="serial"))
-        faulted = tpch_db.execute(
-            query,
-            options=_options(
-                backend="process",
-                num_workers=2,
-                chunk_size=512,
-                max_task_retries=1,
-                faults="seed:2,rate:1.0,sites:shm.attach",
-            ),
-        )
-        _assert_identical(faulted, baseline)
-
-    def test_shm_share_fault_falls_back_to_eager_probe(self, tpch_db):
-        """Publishing probe inputs fails; probes run eagerly, bit-identically."""
-        from repro.workloads import tpch
-
-        query = tpch.query(3)
-        baseline = tpch_db.execute(query, options=_options(backend="serial"))
-        faulted = tpch_db.execute(
-            query,
-            options=_options(
-                backend="process",
-                num_workers=2,
-                chunk_size=512,
-                faults="seed:4,rate:1.0,sites:shm.share",
-            ),
-        )
-        _assert_identical(faulted, baseline)
-
-
-# ---------------------------------------------------------------------------
 # Deadlines and cancellation
 # ---------------------------------------------------------------------------
 class TestDeadlines:
-    @pytest.mark.parametrize("backend", ["serial", "chunked", "parallel", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "chunked", "parallel"])
     def test_timeout_during_transfer(self, tpch_db, backend):
         """Injected op latency blows a tiny deadline; the typed error carries
         the partial stats, and nothing leaks."""
@@ -267,7 +173,7 @@ class TestDeadlines:
         from repro.workloads import tpch
 
         result = tpch_db.execute(
-            tpch.query(3), options=_options(backend="process", timeout_seconds=600.0)
+            tpch.query(3), options=_options(backend="parallel", timeout_seconds=600.0)
         )
         assert result.aggregates
 
@@ -276,38 +182,27 @@ class TestDeadlines:
 # The graceful-degradation ladder
 # ---------------------------------------------------------------------------
 class TestDegradationLadder:
-    def test_process_pool_unavailable_degrades_to_parallel(self, tpch_db):
+    def test_ladder_reaches_serial(self, tpch_db, all_modes):
+        """The thread pool cannot start; every mode falls back to serial."""
         from repro.workloads import tpch
 
         query = tpch.query(3)
-        baseline = tpch_db.execute(query, options=_options(backend="serial"))
-        degraded = tpch_db.execute(
-            query,
-            options=_options(
-                backend="process", faults="seed:1,rate:1.0,sites:process.pool"
-            ),
-        )
-        _assert_identical(degraded, baseline)
-        assert "backend:process->parallel" in degraded.stats.degradations
-
-    def test_ladder_reaches_serial(self, tpch_db):
-        from repro.workloads import tpch
-
-        query = tpch.query(3)
-        baseline = tpch_db.execute(query, options=_options(backend="serial"))
-        degraded = tpch_db.execute(
-            query,
-            options=_options(
-                backend="process",
-                faults="seed:1,rate:1.0,sites:process.pool|parallel.pool",
-            ),
-        )
-        _assert_identical(degraded, baseline)
-        assert degraded.stats.degradations[:2] == [
-            "backend:process->parallel",
-            "backend:parallel->serial",
-        ]
-        assert "degraded:" in degraded.stats.degradation_summary()
+        for mode in all_modes:
+            baseline = tpch_db.execute(query, mode=mode, options=_options(backend="serial"))
+            degraded = tpch_db.execute(
+                query,
+                mode=mode,
+                options=_options(
+                    backend="parallel", faults="seed:1,rate:1.0,sites:parallel.pool"
+                ),
+            )
+            _assert_identical(degraded, baseline)
+            assert (
+                degraded.stats.total_tuples_processed
+                == baseline.stats.total_tuples_processed
+            )
+            assert degraded.stats.degradations == ["backend:parallel->serial"]
+            assert "degraded:" in degraded.stats.degradation_summary()
 
     def test_decode_fault_degrades_to_raw_filters(self, tpch_db):
         """An injected encoded-read failure downgrades that alias to the raw
@@ -331,6 +226,21 @@ class TestDegradationLadder:
             for rung in degraded.stats.degradations
         )
 
+    def test_removed_process_backend_names_fail_loudly(self, tpch_db, monkeypatch):
+        """The retired process backend's names are outside input: each one
+        raises a typed error instead of being ignored or degraded."""
+        from repro.workloads import tpch
+
+        query = tpch.query(3)
+        with pytest.raises(ExecutionError, match="'serial', 'chunked', or 'parallel'"):
+            tpch_db.execute(query, options=_options(backend="process"))
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        with pytest.raises(ExecutionError, match="unknown pipeline backend 'process'"):
+            tpch_db.execute(query)
+        for site in ("process.task", "shm.attach"):
+            with pytest.raises(FaultInjected, match="unknown fault site"):
+                FaultPlan.parse(f"seed:1,rate:1.0,sites:{site}")
+
     def test_governor_spill_retry_rung(self, tpch_db):
         """An injected allocation failure spills evictables and retries."""
         from repro.workloads import tpch
@@ -351,7 +261,7 @@ class TestDegradationLadder:
 
 
 # ---------------------------------------------------------------------------
-# Storage-layer faults: spill I/O, transient unlink, leak invariants
+# Storage-layer faults: spill I/O, leak invariants
 # ---------------------------------------------------------------------------
 class TestStorageFaults:
     def test_spill_write_failure_is_tolerated(self):
@@ -373,13 +283,6 @@ class TestStorageFaults:
         faults.configure("seed:1,rate:1.0,sites:spill.read")
         with pytest.raises(ReproError):
             spill.reload("res", 512)
-
-    def test_unlink_fault_is_transient_and_never_leaks(self):
-        before = shm.live_segment_count()
-        faults.configure("seed:1,rate:1.0,sites:shm.unlink")
-        segment, _ = shm.share_array(np.arange(128, dtype=np.int64))
-        shm.unlink_segment(segment)
-        assert shm.live_segment_count() == before
 
     def test_alloc_fault_raises_memory_exhausted_without_spill_handler(self):
         faults.configure("seed:1,rate:1.0,sites:alloc.reserve")
@@ -408,20 +311,8 @@ class TestDatabaseClose:
         with pytest.raises(ReproError, match="closed"):
             db.sql("SELECT COUNT(*) FROM lineitem")
 
-    def test_close_unlinks_arena_segments(self):
-        from repro.workloads import tpch
-
-        db = Database()
-        tpch.load(db, scale=0.01, seed=1)
-        before = shm.live_segment_count()
-        db.execute(
-            tpch.query(3), options=_options(backend="process", chunk_size=512, num_workers=2)
-        )
-        db.close()
-        assert shm.live_segment_count() == before
-
     def test_close_drains_in_flight_queries(self):
-        """``close()`` waits for running queries instead of unlinking under them."""
+        """``close()`` waits for running queries instead of racing them."""
         import threading
 
         from repro.workloads import tpch
@@ -453,7 +344,7 @@ class TestDatabaseClose:
             assert "closed" in str(exc)
 
     def test_concurrent_close_is_safe(self):
-        """Many threads calling close() concurrently: one unlink, no errors."""
+        """Many threads calling close() concurrently: no errors."""
         import threading
 
         from repro.workloads import tpch
@@ -484,7 +375,7 @@ class TestDatabaseClose:
 # The sweep harness (subset; CI runs the full 56-file sweep)
 # ---------------------------------------------------------------------------
 class TestFaultSweep:
-    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("backend", ["serial"])
     def test_synthetic_sweep_under_5pct_faults(self, backend):
         from repro.workloads import sqlfiles
 

@@ -350,20 +350,20 @@ class TestGoldenReports:
         """Regression: per-event rungs merge to one list entry + a count.
 
         The merge across degradation retry paths used to append the same
-        rung once per event, so an inline-fallback run with N morsels
-        reported the rung N times in merged summaries.
+        rung once per event, so a rung that fired on N ops was reported N
+        times in merged summaries.
         """
         stats = ExecutionStats()
         for _ in range(3):
-            stats.record_degradation("process:inline-fallback")
-        stats.record_degradation("governor:spill-retry")
-        assert stats.degradations == ["process:inline-fallback", "governor:spill-retry"]
+            stats.record_degradation("governor:spill-retry")
+        stats.record_degradation("backend:parallel->serial")
+        assert stats.degradations == ["governor:spill-retry", "backend:parallel->serial"]
         assert stats.degradation_counts == {
-            "process:inline-fallback": 3,
-            "governor:spill-retry": 1,
+            "governor:spill-retry": 3,
+            "backend:parallel->serial": 1,
         }
         assert stats.degradation_summary() == (
-            "degraded: process:inline-fallback x3; governor:spill-retry"
+            "degraded: governor:spill-retry x3; backend:parallel->serial"
         )
 
     def test_format_op_traces_golden(self):
@@ -392,7 +392,7 @@ class TestGoldenReports:
 # Traced execution: bit-identity, determinism, env gating
 # ---------------------------------------------------------------------------
 class TestTracedExecution:
-    @pytest.mark.parametrize("backend", ["serial", "chunked", "parallel", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "chunked", "parallel"])
     def test_traced_runs_bit_identical_all_modes(self, imdb_db, star_query, all_modes, backend):
         for mode in all_modes:
             base = imdb_db.execute(star_query, mode=mode, options=_options(backend=backend))
@@ -545,14 +545,15 @@ class TestServerObservability:
             result = session.sql(
                 STAR_SQL,
                 options=_options(
-                    backend="process",
-                    num_workers=2,
-                    chunk_size=512,
-                    max_task_retries=1,
-                    faults="seed:3,rate:1.0,sites:process.task",
+                    backend="serial",
+                    encodings=True,
+                    fuse_filters=False,
+                    faults="seed:3,rate:1.0,sites:column.decode",
                 ),
             )
-            assert result.stats.inline_fallback_morsels > 0
+            assert any(
+                rung.startswith("column.decode:") for rung in result.stats.degradations
+            )
             stats = server.stats()
             degraded = {
                 key: value

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import Database, ExecutionMode, ExecutionOptions, JoinCondition, QuerySpec, RelationRef
+from repro.engine.modes import ExecutionConfig
 from repro.exec.kernels import HashIndex, match_keys, semi_join_mask
 from repro.exec.pipeline import ChunkedBackend, ParallelBackend, SerialBackend, make_backend
 from repro.expr.expressions import Expression, eq
@@ -233,6 +234,20 @@ class TestBackends:
             )
             assert serial.aggregates == parallel.aggregates, mode
             assert serial.output_rows == parallel.output_rows, mode
+
+    @pytest.mark.parametrize("backend", ["serial", "chunked", "parallel"])
+    def test_tpch_backend_matrix(self, tpch_db, backend):
+        query = tpch.all_queries()["q5"]
+        plan = tpch_db.optimizer_plan(query)
+        baseline = tpch_db.execute(
+            query, mode=ExecutionMode.RPT, plan=plan, options=ExecutionOptions(backend="serial")
+        )
+        options = ExecutionOptions(
+            execution=ExecutionConfig(backend=backend, chunk_size=512, num_threads=2)
+        )
+        result = tpch_db.execute(query, mode=ExecutionMode.RPT, plan=plan, options=options)
+        assert result.aggregates == baseline.aggregates
+        assert result.output_rows == baseline.output_rows
 
     def test_chunked_backend_accrues_simulated_cost(self, imdb_db, star_query):
         result = imdb_db.execute(

@@ -255,7 +255,7 @@ class TestBufferManager:
 
 
 class TestEncodedColumnStorage:
-    """Encoded buffers through the storage layer: round-trips and the arena."""
+    """Encoded buffers through the storage layer: round-trips."""
 
     @given(
         st.lists(st.integers(min_value=-100, max_value=100), min_size=1, max_size=500),
@@ -273,60 +273,3 @@ class TestEncodedColumnStorage:
         if stride is not None:
             selection = np.arange(0, len(values), stride, dtype=np.int64)
             np.testing.assert_array_equal(encoded.decode(selection), col.data[selection])
-
-    def test_arena_ships_encoded_buffers_and_gathers_losslessly(self):
-        from repro.storage import shm
-        from repro.storage.shm import SharedColumnArena, gather_encoded
-
-        rng = np.random.default_rng(17)
-        catalog = Catalog()
-        catalog.register(
-            Table.from_dict(
-                "t",
-                {
-                    "packed": rng.integers(0, 1 << 20, size=5000).tolist(),
-                    "wide": rng.integers(-(2**60), 2**60, size=5000).tolist(),
-                },
-            )
-        )
-        table = catalog.table("t")
-        arena = SharedColumnArena(catalog)
-        try:
-            ref = arena.column_ref(table, "packed", encoded=True)
-            assert hasattr(ref, "codes"), "narrow-domain column must ship encoded"
-            assert ref.nbytes < table.column("packed").data.nbytes
-            selection = rng.integers(0, 5000, size=700)
-            np.testing.assert_array_equal(
-                gather_encoded(ref, selection), table.column("packed").data[selection]
-            )
-            # Raw and encoded refs are distinct arena entries.
-            raw_ref = arena.column_ref(table, "packed", encoded=False)
-            assert not hasattr(raw_ref, "codes")
-            keys = arena.published_keys()
-            assert ("t", 1, "packed", True) in keys and ("t", 1, "packed", False) in keys
-            # Unencodable columns fall back to the raw segment even when
-            # encoded shipping is requested.
-            wide_ref = arena.column_ref(table, "wide", encoded=True)
-            assert not hasattr(wide_ref, "codes")
-        finally:
-            arena.close()
-            shm.detach_all()
-        assert arena.num_segments == 0
-
-    def test_arena_never_ships_rle_encoded(self):
-        from repro.storage.encodings import choose_encoding
-        from repro.storage.shm import SharedColumnArena
-
-        catalog = Catalog()
-        catalog.register(
-            Table.from_dict("t", {"runs": np.repeat(np.arange(6), 900).tolist()})
-        )
-        table = catalog.table("t")
-        assert choose_encoding(table.column("runs")).encoding == "rle"
-        arena = SharedColumnArena(catalog)
-        try:
-            ref = arena.column_ref(table, "runs", encoded=True)
-            # RLE point-gathers would searchsorted per morsel row: ship raw.
-            assert ref is not None and not hasattr(ref, "codes")
-        finally:
-            arena.close()
